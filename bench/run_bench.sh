@@ -20,7 +20,7 @@ mode_flags=()
 fig2_args=()
 if [[ "${1:-}" == "--quick" ]]; then
   mode_flags+=(--quick)
-  fig2_args+=(--benchmark_min_time=0.05s)
+  fig2_args+=(--benchmark_min_time=0.05)
 fi
 
 cmake -B "${build_dir}" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Release

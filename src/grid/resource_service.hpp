@@ -14,22 +14,23 @@
 //    chain: "job-submit", "job-status", "file-read", "file-write";
 //  * job submission delegates a proxy to the resource so the job can act
 //    (and be renewed, §6.6) after the user disconnects.
+//
+// Connections run on a tls::Service with MyProxy's compiled deadlines and
+// connection cap; chain verification and the gridmap check run on the
+// worker.
 #pragma once
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "gsi/credential.hpp"
 #include "gsi/gridmap.hpp"
-#include "net/socket.hpp"
 #include "pki/trust_store.hpp"
+#include "tls/service.hpp"
 #include "tls/tls_channel.hpp"
 
 namespace myproxy::grid {
@@ -64,7 +65,12 @@ class ResourceService {
 
   void start();
   void stop();
-  [[nodiscard]] std::uint16_t port() const { return port_; }
+  [[nodiscard]] std::uint16_t port() const { return service_.port(); }
+
+  /// Connection counters of the front end (deadlines, cap, sheds).
+  [[nodiscard]] const tls::ServiceStats& connection_stats() const {
+    return service_.stats();
+  }
 
   /// Local-user view of a job (tests / the renewal service).
   [[nodiscard]] std::optional<JobRecord> job(const std::string& id) const;
@@ -94,26 +100,21 @@ class ResourceService {
       std::string_view local_user, std::string_view name) const;
 
  private:
-  void accept_loop();
-  void handle_connection(net::Socket socket);
+  /// Front-end handler: authenticate and map the peer, run its request.
+  void serve(tls::TlsChannel& channel, std::string_view raw_request);
 
   gsi::Credential host_credential_;
   pki::TrustStore trust_store_;
   gsi::Gridmap gridmap_;
-  tls::TlsContext tls_context_;
-
-  std::optional<net::TcpListener> listener_;
-  std::uint16_t port_ = 0;
-  std::thread accept_thread_;
-  std::unique_ptr<ThreadPool> pool_;
-  std::atomic<bool> stopping_{false};
-  std::size_t worker_threads_;
 
   mutable std::mutex mutex_;
   std::map<std::string, JobRecord> jobs_;
   std::map<std::string, gsi::Credential> job_credentials_;
   std::map<std::string, std::string> files_;  // "<user>/<name>" -> content
   std::uint64_t next_job_ = 1;
+
+  /// Declared after everything its handler uses.
+  tls::Service service_;
 };
 
 /// Client API for the resource (what the portal and examples use).

@@ -56,7 +56,7 @@ class Socket {
     set_write_timeout(write);
   }
 
-  /// Toggle O_NONBLOCK. The reactor path runs handshake and request reads
+  /// Toggle O_NONBLOCK. tls::Service runs handshake and request reads
   /// non-blocking, then flips the socket back to blocking (with SO_*TIMEO
   /// deadlines) before handing it to a worker thread.
   void set_nonblocking(bool enabled);
@@ -83,7 +83,7 @@ class Socket {
 
 /// Dotted-quad peer address of a connected INET descriptor; empty when the
 /// descriptor is not an INET socket. Free-function form for callers that
-/// hold only an fd (the reactor's TLS channels).
+/// hold only an fd (tls::Service's TLS channels).
 [[nodiscard]] std::string peer_address_of(int fd);
 
 /// True when `address` parses as an IPv4 loopback address (127.0.0.0/8).
@@ -114,7 +114,7 @@ class TcpListener {
   /// accept are skipped. Throws IoError on real failures.
   [[nodiscard]] std::optional<Socket> try_accept();
 
-  /// Toggle O_NONBLOCK on the listening descriptor (reactor accept path).
+  /// Toggle O_NONBLOCK on the listening descriptor (event-loop accept).
   void set_nonblocking(bool enabled);
 
   /// Listening descriptor, for event-loop registration.

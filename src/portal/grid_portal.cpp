@@ -27,9 +27,17 @@ GridPortal::GridPortal(gsi::Credential credential,
     : credential_(std::move(credential)),
       trust_store_(std::move(trust_store)),
       config_(std::move(config)),
-      https_context_(
-          tls::TlsContext::make(credential_, tls::PeerAuth::kNone)),
-      sessions_(config_.session_idle_limit) {
+      sessions_(config_.session_idle_limit),
+      // §5.2: "The portal web server must currently be configured to only
+      // allow HTTP connections secured with SSL encryption (HTTPS)".
+      service_(tls::TlsContext::make(credential_, tls::PeerAuth::kNone),
+               {.worker_threads = config_.worker_threads,
+                .busy_reply = HttpResponse::error(503, "Service Unavailable",
+                                                  "server busy, try again")
+                                  .serialize(),
+                .name = std::string(kLogComponent)},
+               [this](std::shared_ptr<tls::TlsChannel> channel,
+                      std::string request) { serve(*channel, request); }) {
   if (config_.repositories.empty()) {
     throw ConfigError("portal requires at least one MyProxy repository");
   }
@@ -38,55 +46,25 @@ GridPortal::GridPortal(gsi::Credential credential,
 GridPortal::~GridPortal() { stop(); }
 
 void GridPortal::start() {
-  listener_.emplace(net::TcpListener::bind(0));
-  port_ = listener_->port();
-  pool_ = std::make_unique<ThreadPool>(config_.worker_threads,
-                                       /*max_queue=*/128);
-  accept_thread_ = std::thread([this] { accept_loop(); });
-  log::info(kLogComponent, "portal listening on port {} as '{}'", port_,
+  service_.start();
+  log::info(kLogComponent, "portal listening on port {} as '{}'", port(),
             credential_.identity().str());
 }
 
-void GridPortal::stop() {
-  if (stopping_.exchange(true)) return;
-  if (listener_.has_value()) listener_->close();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  pool_.reset();
-}
+void GridPortal::stop() { service_.stop(); }
 
-void GridPortal::accept_loop() {
-  while (!stopping_.load()) {
-    net::Socket socket;
-    try {
-      socket = listener_->accept();
-    } catch (const IoError&) {
-      break;
-    }
-    auto shared = std::make_shared<net::Socket>(std::move(socket));
-    pool_->submit([this, shared]() mutable {
-      handle_connection(std::move(*shared));
-    });
-  }
-}
-
-void GridPortal::handle_connection(net::Socket socket) {
+void GridPortal::serve(tls::TlsChannel& channel,
+                       std::string_view raw_request) {
+  const HttpRequest request = parse_request(raw_request);
+  HttpResponse response;
   try {
-    // §5.2: "The portal web server must currently be configured to only
-    // allow HTTP connections secured with SSL encryption (HTTPS)".
-    auto channel = tls::TlsChannel::accept(https_context_, std::move(socket));
-    const HttpRequest request = parse_request(channel->receive());
-    HttpResponse response;
-    try {
-      response = handle(request);
-    } catch (const Error& e) {
-      log::warn(kLogComponent, "request {} {} failed: {}", request.method,
-                request.target, e.what());
-      response = HttpResponse::error(500, "Internal Server Error", e.what());
-    }
-    channel->send(response.serialize());
-  } catch (const std::exception& e) {
-    log::warn(kLogComponent, "connection aborted: {}", e.what());
+    response = handle(request);
+  } catch (const Error& e) {
+    log::warn(kLogComponent, "request {} {} failed: {}", request.method,
+              request.target, e.what());
+    response = HttpResponse::error(500, "Internal Server Error", e.what());
   }
+  channel.send(response.serialize());
 }
 
 HttpResponse GridPortal::handle(const HttpRequest& request) {

@@ -19,22 +19,23 @@
 //   GET  /jobs        job table
 //   POST /store       form {name, content} -> file at the Grid resource
 //   POST /logout      destroys the session credential
+//
+// The HTTPS front end is a tls::Service with MyProxy's compiled deadlines
+// and connection cap.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
-#include <thread>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "gsi/credential.hpp"
 #include "grid/resource_service.hpp"
 #include "pki/trust_store.hpp"
 #include "portal/http.hpp"
 #include "portal/session.hpp"
+#include "tls/service.hpp"
 #include "tls/tls_channel.hpp"
 
 namespace myproxy::portal {
@@ -70,7 +71,12 @@ class GridPortal {
 
   void start();
   void stop();
-  [[nodiscard]] std::uint16_t port() const { return port_; }
+  [[nodiscard]] std::uint16_t port() const { return service_.port(); }
+
+  /// Connection counters of the HTTPS front end (deadlines, cap, sheds).
+  [[nodiscard]] const tls::ServiceStats& connection_stats() const {
+    return service_.stats();
+  }
 
   [[nodiscard]] SessionManager& sessions() { return sessions_; }
 
@@ -79,8 +85,8 @@ class GridPortal {
   [[nodiscard]] HttpResponse handle(const HttpRequest& request);
 
  private:
-  void accept_loop();
-  void handle_connection(net::Socket socket);
+  /// Front-end handler: answer the browser's one request.
+  void serve(tls::TlsChannel& channel, std::string_view raw_request);
 
   [[nodiscard]] HttpResponse login_page(std::string_view message = {}) const;
   [[nodiscard]] HttpResponse handle_login(const HttpRequest& request);
@@ -98,15 +104,10 @@ class GridPortal {
   gsi::Credential credential_;
   pki::TrustStore trust_store_;
   PortalConfig config_;
-  tls::TlsContext https_context_;  ///< server-auth-only (§5.2 HTTPS)
 
   SessionManager sessions_;
 
-  std::optional<net::TcpListener> listener_;
-  std::uint16_t port_ = 0;
-  std::thread accept_thread_;
-  std::unique_ptr<ThreadPool> pool_;
-  std::atomic<bool> stopping_{false};
+  tls::Service service_;  ///< server-auth-only HTTPS (§5.2)
 };
 
 /// A minimal scripted "browser" for tests and examples: TLS (server-auth

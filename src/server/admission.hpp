@@ -5,10 +5,10 @@
 // Two gates, consulted at different points of a connection's life:
 //
 //   * Pre-auth (peer IP address): a token bucket per client address,
-//     consulted before a worker is committed — in the threaded accept loop
-//     before the TLS handshake, and in the reactor's hand_off before
-//     try_submit. Defends the handshake/crypto budget against a single
-//     hostile host. Off by default (preauth_rate_limit_rps == 0): a NAT'd
+//     consulted before a worker is committed — the hand-off hook of the
+//     server's tls::Service, after the handshake and before try_submit.
+//     Defends the worker/crypto budget against a single hostile host.
+//     Off by default (preauth_rate_limit_rps == 0): a NAT'd
 //     portal farm shares one address, so this knob is deliberately
 //     separate from the per-DN limits.
 //

@@ -58,72 +58,48 @@ HttpGateway::HttpGateway(gsi::Credential host_credential,
                          pki::TrustStore trust_store,
                          std::shared_ptr<repository::Repository> repository,
                          HttpGatewayConfig config)
-    : host_credential_(std::move(host_credential)),
-      trust_store_(std::move(trust_store)),
+    : trust_store_(std::move(trust_store)),
       repository_(std::move(repository)),
       config_(std::move(config)),
-      tls_context_(tls::TlsContext::make(host_credential_)) {}
+      service_(tls::TlsContext::make(host_credential),
+               {.worker_threads = config_.worker_threads,
+                .busy_reply = text_response(503, "Service Unavailable",
+                                            "server busy, try again\n")
+                                  .serialize(),
+                .name = std::string(kLogComponent)},
+               [this](std::shared_ptr<tls::TlsChannel> channel,
+                      std::string request) { serve(*channel, request); }) {}
 
 HttpGateway::~HttpGateway() { stop(); }
 
 void HttpGateway::start() {
-  listener_.emplace(net::TcpListener::bind(0));
-  port_ = listener_->port();
-  pool_ = std::make_unique<ThreadPool>(config_.worker_threads,
-                                       /*max_queue=*/128);
-  accept_thread_ = std::thread([this] { accept_loop(); });
-  log::info(kLogComponent, "HTTP gateway listening on port {}", port_);
+  service_.start();
+  log::info(kLogComponent, "HTTP gateway listening on port {}", port());
 }
 
-void HttpGateway::stop() {
-  if (stopping_.exchange(true)) return;
-  if (listener_.has_value()) listener_->close();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  pool_.reset();
-}
+void HttpGateway::stop() { service_.stop(); }
 
-void HttpGateway::accept_loop() {
-  while (!stopping_.load()) {
-    net::Socket socket;
-    try {
-      socket = listener_->accept();
-    } catch (const IoError&) {
-      break;
-    }
-    auto shared = std::make_shared<net::Socket>(std::move(socket));
-    pool_->submit([this, shared]() mutable {
-      handle_connection(std::move(*shared));
-    });
-  }
-}
-
-void HttpGateway::handle_connection(net::Socket socket) {
+void HttpGateway::serve(tls::TlsChannel& channel,
+                        std::string_view raw_request) {
+  pki::VerifiedIdentity peer;
   try {
-    auto channel = tls::TlsChannel::accept(tls_context_, std::move(socket));
-    pki::VerifiedIdentity peer;
-    try {
-      peer = trust_store_.verify(channel->peer_chain(),
-                                 config_.verify_options);
-    } catch (const Error& e) {
-      log::warn(kLogComponent, "authentication failed: {}", e.what());
-      channel->send(text_response(401, "Unauthorized",
-                                  "authentication failed\n")
-                        .serialize());
-      return;
-    }
-    const HttpRequest request = portal::parse_request(channel->receive());
-    HttpResponse response;
-    try {
-      response = handle(request, peer);
-    } catch (const Error& e) {
-      log::warn(kLogComponent, "{} {} failed: {}", request.method,
-                request.target, e.what());
-      response = error_for(e);
-    }
-    channel->send(response.serialize());
-  } catch (const std::exception& e) {
-    log::warn(kLogComponent, "connection aborted: {}", e.what());
+    peer = trust_store_.verify(channel.peer_chain(), config_.verify_options);
+  } catch (const Error& e) {
+    log::warn(kLogComponent, "authentication failed: {}", e.what());
+    channel.send(text_response(401, "Unauthorized", "authentication failed\n")
+                     .serialize());
+    return;
   }
+  const HttpRequest request = portal::parse_request(raw_request);
+  HttpResponse response;
+  try {
+    response = handle(request, peer);
+  } catch (const Error& e) {
+    log::warn(kLogComponent, "{} {} failed: {}", request.method,
+              request.target, e.what());
+    response = error_for(e);
+  }
+  channel.send(response.serialize());
 }
 
 HttpResponse HttpGateway::handle(const HttpRequest& request,

@@ -19,20 +19,19 @@
 // CSR rides in the request and the signed chain in the response — one round
 // trip where the native protocol needs four messages. PUT (server-generated
 // key) would need a two-step exchange and stays on the native protocol.
+//
+// Connections run on a tls::Service with MyProxy's compiled deadlines and
+// connection cap; the peer's chain is verified on the worker.
 #pragma once
 
-#include <atomic>
 #include <memory>
-#include <optional>
-#include <thread>
 
-#include "common/thread_pool.hpp"
 #include "gsi/acl.hpp"
 #include "gsi/credential.hpp"
-#include "net/socket.hpp"
 #include "pki/trust_store.hpp"
 #include "portal/http.hpp"
 #include "repository/repository.hpp"
+#include "tls/service.hpp"
 #include "tls/tls_channel.hpp"
 
 namespace myproxy::server {
@@ -55,7 +54,12 @@ class HttpGateway {
 
   void start();
   void stop();
-  [[nodiscard]] std::uint16_t port() const { return port_; }
+  [[nodiscard]] std::uint16_t port() const { return service_.port(); }
+
+  /// Connection counters of the front end (deadlines, cap, sheds).
+  [[nodiscard]] const tls::ServiceStats& connection_stats() const {
+    return service_.stats();
+  }
 
   /// Handle one parsed request for an authenticated peer (exposed for
   /// tests).
@@ -64,8 +68,8 @@ class HttpGateway {
       const pki::VerifiedIdentity& peer);
 
  private:
-  void accept_loop();
-  void handle_connection(net::Socket socket);
+  /// Front-end handler: authenticate the peer, answer its one request.
+  void serve(tls::TlsChannel& channel, std::string_view raw_request);
 
   [[nodiscard]] portal::HttpResponse handle_get(
       const std::map<std::string, std::string>& form,
@@ -77,17 +81,10 @@ class HttpGateway {
       const std::map<std::string, std::string>& form,
       const pki::VerifiedIdentity& peer);
 
-  gsi::Credential host_credential_;
   pki::TrustStore trust_store_;
   std::shared_ptr<repository::Repository> repository_;
   HttpGatewayConfig config_;
-  tls::TlsContext tls_context_;
-
-  std::optional<net::TcpListener> listener_;
-  std::uint16_t port_ = 0;
-  std::thread accept_thread_;
-  std::unique_ptr<ThreadPool> pool_;
-  std::atomic<bool> stopping_{false};
+  tls::Service service_;
 };
 
 }  // namespace myproxy::server

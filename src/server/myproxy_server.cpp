@@ -11,10 +11,10 @@
 #include "common/logging.hpp"
 #include "common/strings.hpp"
 #include "gsi/proxy.hpp"
+#include "net/socket.hpp"
 #include "repository/credential_store.hpp"
 #include "replication/journal.hpp"
 #include "replication/wire.hpp"
-#include "server/reactor.hpp"
 
 namespace myproxy::server {
 
@@ -139,17 +139,6 @@ std::optional<pki::VerifiedIdentity> unseal_identity(
 
 }  // namespace
 
-IoModel io_model_from_string(std::string_view name) {
-  if (name == "threaded") return IoModel::kThreaded;
-  if (name == "reactor") return IoModel::kReactor;
-  throw ConfigError(fmt::format(
-      "unknown io_model '{}' (expected 'threaded' or 'reactor')", name));
-}
-
-std::string_view to_string(IoModel model) noexcept {
-  return model == IoModel::kThreaded ? "threaded" : "reactor";
-}
-
 Response busy_response(Millis retry_after) {
   Response response =
       Response::make_error("server busy, retry after backoff");
@@ -194,6 +183,23 @@ std::string metrics_label_escape(std::string_view raw) {
   return out;
 }
 
+/// The front end's settings: the operator's ServerConfig values.
+tls::ServiceConfig front_end_config(const ServerConfig& config) {
+  tls::ServiceConfig out;
+  out.port = config.port;
+  out.loops = config.reactor_threads;
+  out.worker_threads = config.worker_threads;
+  out.max_pending = config.max_pending_connections == 0
+                        ? tls::kDefaultMaxPending
+                        : config.max_pending_connections;
+  out.handshake_timeout = config.handshake_timeout;
+  out.request_timeout = config.request_timeout;
+  out.max_connections = config.max_connections;
+  out.busy_reply = Response::make_error("server busy, try again").serialize();
+  out.name = std::string(kLogComponent);
+  return out;
+}
+
 }  // namespace
 
 MyProxyServer::MyProxyServer(
@@ -207,7 +213,17 @@ MyProxyServer::MyProxyServer(
           host_credential_, tls::PeerAuth::kRequired,
           tls::SessionResumption{config_.tls_session_resumption,
                                  config_.tls_session_timeout})),
-      admission_(effective_admission_limits(config_.admission, config_)) {
+      admission_(effective_admission_limits(config_.admission, config_)),
+      service_(
+          tls_context_, front_end_config(config_),
+          [this](std::shared_ptr<tls::TlsChannel> channel,
+                 std::string request) {
+            serve_accepted(std::move(channel), std::move(request));
+          },
+          [this](const tls::TlsChannel& channel) {
+            return preauth_refusal(channel);
+          },
+          &stats_) {
   if (repository_ == nullptr) {
     throw Error(ErrorCode::kInternal, "server requires a repository");
   }
@@ -251,19 +267,7 @@ void MyProxyServer::start() {
         config_.delegation_key_spec, config_.keygen_pool_size,
         config_.keygen_pool_refill_threads);
   }
-  listener_.emplace(net::TcpListener::bind(config_.port));
-  port_ = listener_->port();
-  pool_ = std::make_unique<ThreadPool>(
-      config_.worker_threads,
-      config_.max_pending_connections == 0 ? 256
-                                           : config_.max_pending_connections);
-  if (config_.io_model == IoModel::kReactor) {
-    reactor_ = std::make_unique<Reactor>(*this, *listener_,
-                                         config_.reactor_threads);
-    reactor_->start();
-  } else {
-    accept_thread_ = std::thread([this] { accept_loop(); });
-  }
+  service_.start();
   if (config_.metrics_enabled) {
     MetricsConfig metrics_config;
     metrics_config.enabled = true;
@@ -301,9 +305,10 @@ void MyProxyServer::start() {
     });
   }
   log::info(kLogComponent,
-            "myproxy-server listening on port {} as '{}' (io_model={})",
-            port_, host_credential_.identity().str(),
-            to_string(config_.io_model));
+            "myproxy-server listening on port {} as '{}' ({} event loop(s), "
+            "{} worker(s))",
+            port(), host_credential_.identity().str(),
+            config_.reactor_threads, config_.worker_threads);
 }
 
 void MyProxyServer::stop() {
@@ -318,24 +323,13 @@ void MyProxyServer::stop() {
     const std::scoped_lock lock(stop_mutex_);
     stop_cv_.notify_all();
   }
-  // Reactor mode: stop the event loops first (eventfd wakeup + join); that
-  // also deregisters the listener and drops any connections still mid-
-  // handshake. Threaded mode: wake the accept thread with shutdown() (a
-  // read of the fd); close(), which rewrites the fd, must wait until after
-  // the join or it races the accept thread's own reads of the descriptor.
-  if (reactor_ != nullptr) {
-    reactor_->stop();
-    reactor_.reset();
-  }
-  if (listener_.has_value()) listener_->shutdown();
-  if (accept_thread_.joinable()) accept_thread_.join();
+  // Event loops, then workers (REPLICA_SYNC streams end on stopping_).
+  service_.stop();
   if (sweep_thread_.joinable()) sweep_thread_.join();
   if (reload_thread_.joinable()) reload_thread_.join();
   metrics_.reset();  // before the pools: a scrape reads their gauges
-  pool_.reset();  // drains and joins workers
   key_pool_.reset();  // after workers: handlers may still hold the pool
   replica_session_.reset();  // after workers: STATS handlers read its stats
-  if (listener_.has_value()) listener_->close();
   log::info(kLogComponent, "myproxy-server stopped");
 }
 
@@ -373,116 +367,6 @@ void MyProxyServer::reload_loop() {
   }
 }
 
-void MyProxyServer::accept_loop() {
-  while (!stopping_.load()) {
-    net::Socket socket;
-    try {
-      socket = listener_->accept();
-    } catch (const IoError&) {
-      // Listener closed during shutdown.
-      break;
-    }
-    // Pre-auth gate: per-peer-address token bucket, consulted before a
-    // worker (and a TLS handshake) is spent on the connection.
-    if (!admission_.admit_preauth(socket.peer_address()).admitted) {
-      shed_connection(std::move(socket), "pre-auth address rate limit");
-      continue;
-    }
-    if (!reserve_connection_slot()) {
-      shed_connection(std::move(socket), "connection limit reached");
-      continue;
-    }
-    auto shared = std::make_shared<net::Socket>(std::move(socket));
-    const bool queued = pool_->try_submit([this, shared]() mutable {
-      handle_connection(std::move(*shared));
-      release_connection_slot();
-    });
-    if (!queued) {
-      release_connection_slot();
-      if (stopping_.load()) {
-        // Pool refused because we are shutting down: close the socket
-        // deliberately (peer sees a clean RST/FIN, not a silent leak).
-        log::info(kLogComponent,
-                  "connection refused: server is shutting down");
-        shared->close();
-        break;
-      }
-      shed_connection(std::move(*shared), "worker queue full");
-    }
-  }
-}
-
-bool MyProxyServer::reserve_connection_slot() {
-  const std::size_t current =
-      in_flight_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (config_.max_connections != 0 && current > config_.max_connections) {
-    in_flight_.fetch_sub(1, std::memory_order_relaxed);
-    return false;
-  }
-  std::uint64_t peak = stats_.peak_in_flight.load(std::memory_order_relaxed);
-  while (current > peak &&
-         !stats_.peak_in_flight.compare_exchange_weak(
-             peak, current, std::memory_order_relaxed)) {
-  }
-  return true;
-}
-
-void MyProxyServer::release_connection_slot() {
-  in_flight_.fetch_sub(1, std::memory_order_relaxed);
-}
-
-void MyProxyServer::shed_connection(net::Socket socket,
-                                    std::string_view reason) {
-  stats_.shed_connections.fetch_add(1, std::memory_order_relaxed);
-  log::warn(kLogComponent, "shedding connection: {}", reason);
-  try {
-    // Best-effort courtesy note on the raw socket; TLS clients will instead
-    // see the connection closed before the handshake, which their retry
-    // logic treats as transient. A stalled peer cannot hold us here past
-    // the short write deadline.
-    socket.set_write_timeout(Millis(100));
-    net::PlainChannel channel(std::move(socket));
-    channel.send(Response::make_error("server busy, try again").serialize());
-    channel.close();
-  } catch (const std::exception&) {
-    // Shedding is advisory; failure to notify the peer is acceptable.
-  }
-}
-
-void MyProxyServer::handle_connection(net::Socket socket) {
-  stats_.connections.fetch_add(1, std::memory_order_relaxed);
-  try {
-    auto channel = tls::TlsChannel::accept(tls_context_, std::move(socket),
-                                           config_.handshake_timeout);
-    // Handshake done: switch the socket from the handshake budget to the
-    // per-request idle budget.
-    channel->set_deadlines(config_.request_timeout, config_.request_timeout);
-    // Mutual authentication: verify the client's chain under GSI rules on a
-    // full handshake, or unseal the ticket-borne identity on a resumption.
-    pki::VerifiedIdentity peer;
-    try {
-      peer = authenticate_peer(*channel);
-    } catch (const Error& e) {
-      stats_.auth_failures.fetch_add(1, std::memory_order_relaxed);
-      log::warn(kLogComponent, "client authentication failed: {}", e.what());
-      audit_.record({now(), "CONNECT", "", "",
-                     AuditOutcome::kAuthenticationFailure, e.what()});
-      channel->send(Response::make_error("authentication failed")
-                        .serialize());
-      return;
-    }
-    serve_channel(*channel, peer);
-  } catch (const IoTimeout& e) {
-    // Slow, silent, or stalled peer: the deadline fired and the worker is
-    // now free again. This is the DoS-resilience path, not a server bug.
-    stats_.timeouts.fetch_add(1, std::memory_order_relaxed);
-    log::warn(kLogComponent, "connection timed out: {}", e.what());
-  } catch (const std::exception& e) {
-    stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    log::warn(kLogComponent, "connection aborted: {}", e.what());
-  }
-}
-
 pki::VerifiedIdentity MyProxyServer::authenticate_peer(
     tls::TlsChannel& channel) {
   if (channel.resumed()) {
@@ -517,48 +401,29 @@ pki::VerifiedIdentity MyProxyServer::authenticate_peer(
 
 void MyProxyServer::serve_accepted(std::shared_ptr<tls::TlsChannel> channel,
                                    std::string raw_request) {
+  pki::VerifiedIdentity peer;
   try {
-    // The event loop enforced the handshake/request deadlines with timers;
-    // from here the worker uses blocking I/O under the per-request budget,
-    // exactly like the threaded path after its handshake.
-    channel->set_deadlines(config_.request_timeout, config_.request_timeout);
-    pki::VerifiedIdentity peer;
-    try {
-      peer = authenticate_peer(*channel);
-    } catch (const Error& e) {
-      stats_.auth_failures.fetch_add(1, std::memory_order_relaxed);
-      log::warn(kLogComponent, "client authentication failed: {}", e.what());
-      audit_.record({now(), "CONNECT", "", "",
-                     AuditOutcome::kAuthenticationFailure, e.what()});
-      channel->send(Response::make_error("authentication failed")
-                        .serialize());
-      return;
-    }
-    serve_request(*channel, peer, raw_request);
-  } catch (const IoTimeout& e) {
-    stats_.timeouts.fetch_add(1, std::memory_order_relaxed);
-    log::warn(kLogComponent, "connection timed out: {}", e.what());
-  } catch (const std::exception& e) {
-    stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    log::warn(kLogComponent, "connection aborted: {}", e.what());
-  }
-}
-
-void MyProxyServer::serve_channel(net::Channel& channel,
-                                  const pki::VerifiedIdentity& peer) {
-  std::string raw;
-  try {
-    raw = channel.receive();
-  } catch (const IoTimeout&) {
-    throw;  // stalled peer: counted in handle_connection, no reply owed
+    peer = authenticate_peer(*channel);
   } catch (const Error& e) {
-    stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    log::warn(kLogComponent, "bad request from '{}': {}",
-              peer.identity.str(), e.what());
-    channel.send(Response::make_error("malformed request").serialize());
+    stats_.auth_failures.fetch_add(1, std::memory_order_relaxed);
+    log::warn(kLogComponent, "client authentication failed: {}", e.what());
+    audit_.record({now(), "CONNECT", "", "",
+                   AuditOutcome::kAuthenticationFailure, e.what()});
+    channel->send(Response::make_error("authentication failed").serialize());
     return;
   }
-  serve_request(channel, peer, raw);
+  serve_request(*channel, peer, raw_request);
+}
+
+std::optional<std::string> MyProxyServer::preauth_refusal(
+    const tls::TlsChannel& channel) {
+  // The handshake is already paid for (the event loop fronts it), but the
+  // gate still keeps an abusive address from monopolizing the worker pool.
+  const AdmissionDecision preauth =
+      admission_.admit_preauth(net::peer_address_of(channel.fd()));
+  if (preauth.admitted) return std::nullopt;
+  log::warn(kLogComponent, "shedding connection: pre-auth address rate limit");
+  return busy_response(preauth.retry_after).serialize();
 }
 
 void MyProxyServer::serve_request(net::Channel& channel,
@@ -745,7 +610,7 @@ void MyProxyServer::serve_request(net::Channel& channel,
     channel.send(refusal.response.serialize());
   } catch (const IoTimeout& e) {
     // Mid-command stall: the deadline freed this worker. Record the audit
-    // outcome here, then let handle_connection count the timeout — the
+    // outcome here, then let the front end count the timeout — the
     // stalled channel is not worth another write.
     audit_event.outcome = AuditOutcome::kError;
     audit_event.detail = e.what();
@@ -1680,7 +1545,7 @@ MyProxyServer::counter_snapshot() const {
   put("PROTOCOL_ERRORS", stats_.protocol_errors.load());
   put("TIMEOUTS", stats_.timeouts.load());
   put("SHED_CONNECTIONS", stats_.shed_connections.load());
-  put("IN_FLIGHT", in_flight_.load(std::memory_order_relaxed));
+  put("IN_FLIGHT", in_flight());
   put("PEAK_IN_FLIGHT", stats_.peak_in_flight.load());
   put("FULL_HANDSHAKES", stats_.full_handshakes.load());
   put("RESUMED_HANDSHAKES", stats_.resumed_handshakes.load());

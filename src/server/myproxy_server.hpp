@@ -7,8 +7,9 @@
 // restrictions, before the protocol command is dispatched to the
 // Repository. An `authorized_renewers` ACL gates the §6.6 renewal path.
 //
-// Threading: one accept loop thread; connections are serviced on a bounded
-// ThreadPool (the repository is a shared production service, §3.3).
+// Threading: connections are accepted, handshaken and read on the event
+// loops of a tls::Service and serviced on its bounded ThreadPool (the
+// repository is a shared production service, §3.3).
 #pragma once
 
 #include <array>
@@ -23,7 +24,6 @@
 #include <vector>
 
 #include "cluster/cluster_map.hpp"
-#include "common/thread_pool.hpp"
 #include "crypto/keypair_pool.hpp"
 #include "gsi/acl.hpp"
 #include "server/admission.hpp"
@@ -31,31 +31,16 @@
 #include "server/metrics.hpp"
 #include "gsi/credential.hpp"
 #include "net/channel.hpp"
-#include "net/socket.hpp"
 #include "pki/trust_store.hpp"
 #include "protocol/message.hpp"
 #include "replication/journal.hpp"
 #include "replication/replica_session.hpp"
 #include "replication/wire.hpp"
 #include "repository/repository.hpp"
+#include "tls/service.hpp"
 #include "tls/tls_channel.hpp"
 
 namespace myproxy::server {
-
-class Reactor;
-
-/// Connection I/O model. kThreaded is the original flow: the accept thread
-/// hands each socket to a pool worker that runs the whole connection with
-/// blocking I/O under SO_*TIMEO deadlines — concurrency is capped by
-/// worker_threads. kReactor moves accept, the TLS handshake, and reading
-/// the request onto epoll event loops (non-blocking, timer-enforced
-/// deadlines), so thousands of connections can be in flight while the
-/// ThreadPool runs only crypto-heavy work (chain verification, keygen,
-/// proxy signing) and long-lived REPLICA_SYNC streams.
-enum class IoModel { kThreaded, kReactor };
-
-[[nodiscard]] IoModel io_model_from_string(std::string_view name);
-[[nodiscard]] std::string_view to_string(IoModel model) noexcept;
 
 struct ServerConfig {
   /// TCP port; 0 picks an ephemeral port (tests). The original service ran
@@ -74,11 +59,8 @@ struct ServerConfig {
 
   std::size_t worker_threads = 4;
 
-  /// How connections are accepted and read; see IoModel.
-  IoModel io_model = IoModel::kReactor;
-
-  /// Event-loop threads for io_model=reactor (loop 0 owns the listener and
-  /// accepted connections are distributed round-robin).
+  /// Event loops that accept, handshake and read requests (loop 0 owns the
+  /// listener; accepted connections are distributed round-robin).
   std::size_t reactor_threads = 2;
 
   pki::VerifyOptions verify_options;
@@ -88,22 +70,23 @@ struct ServerConfig {
   /// tests drive Repository::sweep_expired() directly.
   Seconds sweep_interval{60};
 
-  /// Deadline for the TLS handshake on a freshly accepted connection. A
-  /// client that completes TCP connect but never speaks TLS (slowloris)
-  /// frees its worker after this long. Zero disables the deadline.
-  Millis handshake_timeout{10000};
+  /// Deadline for the TLS handshake on a freshly accepted connection: an
+  /// event-loop timer closes a client that completes TCP connect but never
+  /// finishes TLS (slowloris). Zero disables the deadline.
+  Millis handshake_timeout = tls::kDefaultHandshakeTimeout;
 
-  /// Per-read/per-write deadline while servicing a request. A client that
+  /// Deadline for reading the request (an event-loop timer), then the
+  /// per-read/per-write deadline while a worker services it. A client that
   /// stalls mid-message frees its worker after this long. Zero disables.
-  Millis request_timeout{30000};
+  Millis request_timeout = tls::kDefaultRequestTimeout;
 
-  /// Maximum connections in flight (queued + being serviced). Further
-  /// accepts are shed with a best-effort "server busy" response instead of
-  /// blocking the accept loop. Zero means unlimited.
-  std::size_t max_connections = 256;
+  /// Maximum connections in flight (parked on a loop, queued, or being
+  /// serviced). Further accepts are shed with a best-effort "server busy"
+  /// response before TLS. Zero means unlimited.
+  std::size_t max_connections = tls::kDefaultMaxConnections;
 
   /// Bound on the worker-pool queue; overflow is shed like max_connections.
-  std::size_t max_pending_connections = 256;
+  std::size_t max_pending_connections = tls::kDefaultMaxPending;
 
   /// Key type for the server-side delegation key freshly generated on every
   /// PUT (the receiver half of Figure 1). Also the spec the key pool keeps
@@ -191,18 +174,16 @@ struct ServerConfig {
   std::filesystem::path config_file;
 };
 
-/// Operation counters for tests, benchmarks, and the audit story.
-struct ServerStats {
-  std::atomic<std::uint64_t> connections{0};
+/// Operation counters for tests, benchmarks, and the audit story. The
+/// connection-level counters (connections, protocol_errors, timeouts,
+/// shed_connections, peak_in_flight) come from tls::ServiceStats and are
+/// bumped by the front end and the request handlers alike.
+struct ServerStats : tls::ServiceStats {
   std::atomic<std::uint64_t> puts{0};
   std::atomic<std::uint64_t> gets{0};
   std::atomic<std::uint64_t> renewals{0};
   std::atomic<std::uint64_t> auth_failures{0};
   std::atomic<std::uint64_t> authz_failures{0};
-  std::atomic<std::uint64_t> protocol_errors{0};
-  std::atomic<std::uint64_t> timeouts{0};          ///< connections reaped by deadline
-  std::atomic<std::uint64_t> shed_connections{0};  ///< refused at the cap
-  std::atomic<std::uint64_t> peak_in_flight{0};    ///< high-water admitted gauge
 
   // Hot-path instrumentation (keypair pool, TLS resumption).
   std::atomic<std::uint64_t> full_handshakes{0};     ///< fresh TLS handshakes
@@ -257,14 +238,14 @@ class MyProxyServer {
   MyProxyServer(const MyProxyServer&) = delete;
   MyProxyServer& operator=(const MyProxyServer&) = delete;
 
-  /// Bind, start the accept loop, and return (non-blocking).
+  /// Bind, start the front end, and return (non-blocking).
   void start();
 
   /// Stop accepting, drain in-flight connections, join.
   void stop();
 
   /// Port actually bound (valid after start()).
-  [[nodiscard]] std::uint16_t port() const { return port_; }
+  [[nodiscard]] std::uint16_t port() const { return service_.port(); }
 
   [[nodiscard]] const ServerStats& stats() const { return stats_; }
 
@@ -275,15 +256,9 @@ class MyProxyServer {
     return *repository_;
   }
 
-  /// Service one already-authenticated message channel. Public so tests
-  /// and in-process benchmarks can exercise the full command dispatch
-  /// without TCP or TLS.
-  void serve_channel(net::Channel& channel,
-                     const pki::VerifiedIdentity& peer);
-
   /// In-flight connection gauge (reserved slots), for tests and benches.
   [[nodiscard]] std::size_t in_flight() const {
-    return in_flight_.load(std::memory_order_relaxed);
+    return service_.in_flight();
   }
 
   /// Delegation key pool (null when keygen_pool_size == 0); exposed for
@@ -339,9 +314,6 @@ class MyProxyServer {
   [[nodiscard]] std::string render_metrics() const;
 
  private:
-  void accept_loop();
-  void handle_connection(net::Socket socket);
-
   /// SIGHUP hot-reload poll loop: re-reads config_file when the signal
   /// handler bumps the reload generation, then applies the admission keys.
   void reload_loop();
@@ -352,19 +324,17 @@ class MyProxyServer {
   [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>>
   counter_snapshot() const;
 
-  /// Atomically reserve an in-flight connection slot: a single fetch_add
-  /// claims the slot, and an over-cap claim is rolled back with fetch_sub.
-  /// (A load-then-add pair would let a burst of accepts race past
-  /// max_connections.) Returns false when the cap refused the slot.
-  [[nodiscard]] bool reserve_connection_slot();
-  void release_connection_slot();
-
-  /// Reactor handoff target, run on a pool worker: the event loop has
-  /// already completed the TLS handshake and read `raw_request`; this
-  /// authenticates the peer (chain verification is crypto-heavy and does
-  /// not belong on an event loop) and dispatches the pre-read request.
+  /// Front-end handler, run on a pool worker: the event loop has already
+  /// completed the TLS handshake and read `raw_request`; this authenticates
+  /// the peer (chain verification is crypto-heavy and does not belong on
+  /// an event loop) and dispatches the pre-read request.
   void serve_accepted(std::shared_ptr<tls::TlsChannel> channel,
                       std::string raw_request);
+
+  /// Front-end hand-off hook: the per-address pre-auth limiter. Returns the
+  /// framed busy refusal when the peer's address is over its budget.
+  [[nodiscard]] std::optional<std::string> preauth_refusal(
+      const tls::TlsChannel& channel);
 
   /// Parse and dispatch one already-received request.
   void serve_request(net::Channel& channel, const pki::VerifiedIdentity& peer,
@@ -379,11 +349,6 @@ class MyProxyServer {
   /// AuthenticationError when neither yields a live identity.
   [[nodiscard]] pki::VerifiedIdentity authenticate_peer(
       tls::TlsChannel& channel);
-
-  /// Refuse `socket` because the server is at capacity: best-effort framed
-  /// "server busy" error on the raw socket, then close. Never blocks the
-  /// accept loop for more than a short write deadline.
-  void shed_connection(net::Socket socket, std::string_view reason);
 
   void handle_put(net::Channel& channel, const protocol::Request& request,
                   const pki::VerifiedIdentity& peer);
@@ -464,8 +429,6 @@ class MyProxyServer {
   ServerConfig config_;
   tls::TlsContext tls_context_;
 
-  friend class Reactor;
-
   std::unique_ptr<crypto::KeyPairPool> key_pool_;
   std::unique_ptr<replication::ReplicaSession> replica_session_;
 
@@ -480,23 +443,20 @@ class MyProxyServer {
   std::shared_mutex fence_mutex_;
   std::atomic<bool> migration_in_flight_{false};
 
-  std::unique_ptr<Reactor> reactor_;
   AdmissionController admission_;
   std::unique_ptr<MetricsEndpoint> metrics_;
-  std::optional<net::TcpListener> listener_;
-  std::uint16_t port_ = 0;
-  std::thread accept_thread_;
   std::thread sweep_thread_;
   std::thread reload_thread_;
   std::uint64_t seen_reload_generation_ = 0;
-  std::unique_ptr<ThreadPool> pool_;
-  std::atomic<std::size_t> in_flight_{0};
   std::atomic<bool> stopping_{false};
   std::condition_variable stop_cv_;
   std::mutex stop_mutex_;
 
   ServerStats stats_;
   AuditLog audit_;
+
+  /// Declared after everything its handler and hook use.
+  tls::Service service_;
 };
 
 }  // namespace myproxy::server

@@ -163,7 +163,7 @@ struct TlsChannel::Impl {
   /// Appdata recovered from the ticket the peer resumed with.
   std::optional<std::string> ticket_appdata_in;
 
-  // Incremental-receive state (receive_step on the reactor path): bytes
+  // Incremental-receive state (receive_step, driven by tls::Service): bytes
   // accumulated toward the current header or body, and the body size once
   // the header has been decoded.
   std::string rx_buffer;

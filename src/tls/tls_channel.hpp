@@ -92,7 +92,7 @@ class TlsContext {
 
 /// Progress of an incremental TLS operation on a non-blocking socket:
 /// finished, or waiting for the socket to become readable / writable (the
-/// reactor maps these onto epoll interest).
+/// event loops of tls::Service map these onto epoll interest).
 enum class IoWant { kDone, kRead, kWrite };
 
 /// One TLS connection, implementing the framed message Channel.
@@ -140,7 +140,7 @@ class TlsChannel final : public net::Channel {
   /// Underlying descriptor, for event-loop registration.
   [[nodiscard]] int fd() const noexcept;
 
-  /// Flip the underlying socket back to blocking mode — the reactor hands
+  /// Flip the underlying socket back to blocking mode — tls::Service hands
   /// the connection to a worker thread once the request has been read, and
   /// the worker path uses blocking I/O with SO_*TIMEO deadlines.
   void make_blocking();

@@ -10,6 +10,7 @@
 #include "common/error.hpp"
 #include "gsi/gsi_fixtures.hpp"
 #include "gsi/proxy.hpp"
+#include "integration/loop_layouts.hpp"
 #include "net/channel.hpp"
 #include "server/myproxy_server.hpp"
 
@@ -269,7 +270,7 @@ TEST(ConnectionCap, ExcessConnectionsAreShedWithBusyResponse) {
 }
 
 class ConnectionCapBurst
-    : public ::testing::TestWithParam<server::IoModel> {};
+    : public ::testing::TestWithParam<server::testing::LoopLayout> {};
 
 TEST_P(ConnectionCapBurst, SimultaneousConnectsNeverExceedTheCap) {
   repository::RepositoryPolicy policy;
@@ -282,7 +283,7 @@ TEST_P(ConnectionCapBurst, SimultaneousConnectsNeverExceedTheCap) {
   config.worker_threads = 2;
   config.max_connections = 4;
   config.handshake_timeout = Millis(500);
-  config.io_model = GetParam();
+  server::testing::apply(GetParam(), config);
   server::MyProxyServer server(make_host("fi-burst-myproxy"),
                                make_trust_store(), repo, config);
   server.start();
@@ -314,12 +315,9 @@ TEST_P(ConnectionCapBurst, SimultaneousConnectsNeverExceedTheCap) {
   server.stop();
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    IoModels, ConnectionCapBurst,
-    ::testing::Values(server::IoModel::kThreaded, server::IoModel::kReactor),
-    [](const ::testing::TestParamInfo<server::IoModel>& info) {
-      return std::string(server::to_string(info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(IoModels, ConnectionCapBurst,
+                         server::testing::all_loop_layouts(),
+                         server::testing::loop_layout_name);
 
 TEST(ClientRetry, SucceedsAfterServerComesBack) {
   const auto host = make_host("fi-retry-myproxy");

@@ -1,8 +1,9 @@
 // The /metrics scrape: Prometheus text exposition of every STATS counter
-// plus per-op latency histograms, served over plaintext loopback HTTP on
-// both io models. The scrape and STATS(10) read the same snapshot, so they
-// can never disagree beyond concurrent motion; the endpoint refuses a
-// non-loopback bind unless explicitly opted in.
+// plus per-op latency histograms, served over plaintext loopback HTTP with
+// the TLS front end on one event loop or several. The scrape and STATS(10)
+// read the same snapshot, so they can never disagree beyond concurrent
+// motion; the endpoint refuses a non-loopback bind unless explicitly opted
+// in.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,6 +17,7 @@
 #include "common/error.hpp"
 #include "gsi/gsi_fixtures.hpp"
 #include "gsi/proxy.hpp"
+#include "integration/loop_layouts.hpp"
 #include "net/socket.hpp"
 #include "server/metrics.hpp"
 #include "server/myproxy_server.hpp"
@@ -82,7 +84,8 @@ std::map<std::string, std::uint64_t> parse_samples(const std::string& body) {
   return out;
 }
 
-class MetricsTest : public ::testing::TestWithParam<server::IoModel> {
+class MetricsTest
+    : public ::testing::TestWithParam<server::testing::LoopLayout> {
  protected:
   void SetUp() override {
     repository::RepositoryPolicy policy;
@@ -92,7 +95,7 @@ class MetricsTest : public ::testing::TestWithParam<server::IoModel> {
     server::ServerConfig config;
     config.accepted_credentials.add("*");
     config.authorized_retrievers.add("*");
-    config.io_model = GetParam();
+    server::testing::apply(GetParam(), config);
     config.metrics_enabled = true;
     config.metrics_port = 0;  // ephemeral
     server_ = std::make_unique<server::MyProxyServer>(
@@ -239,11 +242,8 @@ TEST_P(MetricsTest, RejectsOtherTargetsAndMethods) {
 }
 
 INSTANTIATE_TEST_SUITE_P(IoModels, MetricsTest,
-                         ::testing::Values(server::IoModel::kThreaded,
-                                           server::IoModel::kReactor),
-                         [](const auto& info) {
-                           return std::string(server::to_string(info.param));
-                         });
+                         server::testing::all_loop_layouts(),
+                         server::testing::loop_layout_name);
 
 // --- Bind policy --------------------------------------------------------------
 

@@ -17,8 +17,7 @@
 //   request_timeout_ms    <ms>     # per-request idle deadline (0 = off)
 //   max_connections       <n>      # in-flight connection cap (0 = off)
 //   worker_threads        <n>
-//   io_model              threaded|reactor  # connection front end (default reactor)
-//   reactor_threads       <n>      # epoll event loops for io_model=reactor
+//   reactor_threads       <n>      # epoll loops: accept, TLS handshake, request read
 //
 // Hot-path tuning (keypair pool / TLS resumption / store cache):
 //   delegation_key_type   rsa|ec   # server-side delegation keys (PUT)
@@ -174,8 +173,6 @@ void serve(const tools::Args& args) {
   server_config.max_connections = static_cast<std::size_t>(config.get_int_or(
       "max_connections",
       static_cast<std::int64_t>(server_config.max_connections)));
-  server_config.io_model = server::io_model_from_string(
-      config.get_or("io_model", std::string(to_string(server_config.io_model))));
   server_config.reactor_threads = static_cast<std::size_t>(config.get_int_or(
       "reactor_threads",
       static_cast<std::int64_t>(server_config.reactor_threads)));
