@@ -130,12 +130,19 @@ void Repository::store(std::string_view username,
 gsi::Credential Repository::open(std::string_view username,
                                  std::string_view secret,
                                  std::string_view name, bool otp) {
-  auto record = store_->get(username, name);
+  const auto record = store_->get(username, name);
   if (!record.has_value()) {
     throw NotFoundError(fmt::format(
         "no credentials stored for user '{}' slot '{}'", username, name));
   }
-  if (record->expired()) {
+  return open(*record, secret, otp);
+}
+
+gsi::Credential Repository::open(const CredentialRecord& checked,
+                                 std::string_view secret, bool otp) {
+  const std::string_view username = checked.username;
+  const std::string_view name = checked.name;
+  if (checked.expired()) {
     throw ExpiredError(fmt::format(
         "stored credential for user '{}' has expired", username));
   }
@@ -146,10 +153,18 @@ gsi::Credential Repository::open(std::string_view username,
     // presenting the same word must yield exactly one success, or replay
     // protection evaporates under load.
     const std::scoped_lock lock(otp_mutex_);
-    record = store_->get(username, name);  // re-read under the lock
+    auto record = store_->get(username, name);  // re-read under the lock
     if (!record.has_value()) {
       throw NotFoundError(fmt::format(
           "no credentials stored for user '{}' slot '{}'", username, name));
+    }
+    if (record->created_at != checked.created_at ||
+        record->owner_dn != checked.owner_dn ||
+        record->blob != checked.blob) {
+      throw AuthorizationError(fmt::format(
+          "credential for user '{}' slot '{}' was replaced after it was "
+          "authorized",
+          username, name));
     }
     if (!record->otp.has_value() || record->otp->exhausted()) {
       throw AuthenticationError(
@@ -167,15 +182,15 @@ gsi::Credential Repository::open(std::string_view username,
 
   // OTP-armed records never fall back to pass-phrase authentication, even
   // once the chain is exhausted.
-  if (record->otp.has_value()) {
+  if (checked.otp.has_value()) {
     throw AuthenticationError(
         "credential requires one-time-password authentication");
   }
 
-  if (record->sealing == Sealing::kPassphrase) {
+  if (checked.sealing == Sealing::kPassphrase) {
     try {
       const SecureBuffer pem =
-          crypto::passphrase_open(secret, record->blob, aad);
+          crypto::passphrase_open(secret, checked.blob, aad);
       return gsi::Credential::from_pem(pem.view());
     } catch (const VerificationError&) {
       // Decryption failure == wrong pass phrase (§5.1: the envelope *is*
@@ -186,13 +201,13 @@ gsi::Credential Repository::open(std::string_view username,
   }
 
   // Master-key / plaintext records: check the stored pass-phrase digest.
-  if (!record->passphrase_digest.has_value() ||
-      !strings::constant_time_equals(*record->passphrase_digest,
+  if (!checked.passphrase_digest.has_value() ||
+      !strings::constant_time_equals(*checked.passphrase_digest,
                                      passphrase_digest_for(aad, secret))) {
     log::warn(kLogComponent, "bad pass phrase for user '{}'", username);
     throw AuthenticationError("invalid pass phrase");
   }
-  return unseal(*record, aad);
+  return unseal(checked, aad);
 }
 
 gsi::Credential Repository::open_for_renewal(std::string_view username,
@@ -279,12 +294,13 @@ void Repository::change_passphrase(std::string_view username,
                                    std::string_view new_phrase,
                                    std::string_view name) {
   policy_.passphrase_policy.check(username, new_phrase);
-  // Authenticate with the old phrase by opening, then re-seal.
-  const gsi::Credential credential = open(username, old_phrase, name);
   auto record = store_->get(username, name);
   if (!record.has_value()) {
-    throw NotFoundError("credential vanished during pass-phrase change");
+    throw NotFoundError(fmt::format(
+        "no credentials stored for user '{}' slot '{}'", username, name));
   }
+  // Authenticate with the old phrase by opening, then re-seal.
+  const gsi::Credential credential = open(*record, old_phrase);
   const SecureBuffer pem = credential.to_pem();
   const std::string aad = aad_for(username, name);
   switch (record->sealing) {

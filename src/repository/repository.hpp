@@ -101,7 +101,7 @@ class Repository {
              std::string_view owner_dn, const gsi::Credential& credential,
              const StoreOptions& options = {});
 
-  /// GET/RENEW path: authenticate and decrypt the stored credential.
+  /// Authenticate and decrypt the stored credential.
   /// `otp` selects OTP verification instead of pass-phrase decryption.
   /// Throws AuthenticationError on a bad pass phrase / OTP word,
   /// NotFoundError if absent, ExpiredError if the stored credential
@@ -109,6 +109,17 @@ class Repository {
   [[nodiscard]] gsi::Credential open(std::string_view username,
                                      std::string_view secret,
                                      std::string_view name = {},
+                                     bool otp = false);
+
+  /// GET/RETRIEVE path: open the record the caller read with record() and
+  /// authorized (ACLs, restriction, lifetime), so what is delegated is what
+  /// was checked. A pass-phrase record is opened as given, with no second
+  /// store read. OTP verification advances the chain, so it re-reads the
+  /// record under the OTP lock and throws AuthorizationError if a PUT
+  /// replaced it (owner, creation time or sealed blob differ) since the
+  /// check. Other errors as for the by-name overload.
+  [[nodiscard]] gsi::Credential open(const CredentialRecord& checked,
+                                     std::string_view secret,
                                      bool otp = false);
 
   /// RENEW path (§6.6): open a *renewable* credential without the user's

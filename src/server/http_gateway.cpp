@@ -139,8 +139,8 @@ HttpResponse HttpGateway::handle_get(
     }
   }
   const bool otp = form_get(form, "otp") == "1";
-  gsi::Credential stored = repository_->open(
-      username, form_get(form, "passphrase"), name, otp);
+  gsi::Credential stored =
+      repository_->open(*record, form_get(form, "passphrase"), otp);
 
   gsi::ProxyOptions options;
   const std::string lifetime = form_get(form, "lifetime");

@@ -737,8 +737,7 @@ void MyProxyServer::handle_get(net::Channel& channel, const Request& request,
     permit = cluster_write_permit(request.username);
   }
   gsi::Credential stored = timed_us(stats_.get_open_us, [&] {
-    return repository_->open(request.username, request.passphrase,
-                             request.credential_name,
+    return repository_->open(*record, request.passphrase,
                              request.auth_mode == protocol::AuthMode::kOtp);
   });
   permit = {};
@@ -973,8 +972,7 @@ void MyProxyServer::handle_retrieve(net::Channel& channel,
     permit = cluster_write_permit(request.username);
   }
   gsi::Credential stored = timed_us(stats_.get_open_us, [&] {
-    return repository_->open(request.username, request.passphrase,
-                             request.credential_name,
+    return repository_->open(*record, request.passphrase,
                              request.auth_mode == protocol::AuthMode::kOtp);
   });
   permit = {};

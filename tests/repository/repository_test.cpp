@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
 #include "gsi/gsi_fixtures.hpp"
 #include "gsi/proxy.hpp"
@@ -278,6 +282,112 @@ TEST(Repository, RecordsBoundToUserCannotBeSwapped) {
 
   EXPECT_THROW((void)repo.open("alice", kPhrase), AuthenticationError);
   EXPECT_THROW((void)repo.open("bob", kPhrase), AuthenticationError);
+}
+
+/// Forwards to a MemoryCredentialStore, except that once a replacement is
+/// armed every get after the first returns it: what a reader sees when a
+/// PUT lands between its authorization read and its open.
+class RacingPutStore final : public CredentialStore {
+ public:
+  void arm(std::optional<CredentialRecord> replacement) {
+    replacement_ = std::move(replacement);
+    gets_ = 0;
+  }
+  [[nodiscard]] int gets() const { return gets_; }
+
+  void put(const CredentialRecord& record) override { inner_.put(record); }
+  [[nodiscard]] std::optional<CredentialRecord> get(
+      std::string_view username, std::string_view name) const override {
+    if (++gets_ > 1 && replacement_.has_value()) return replacement_;
+    return inner_.get(username, name);
+  }
+  bool remove(std::string_view username, std::string_view name) override {
+    return inner_.remove(username, name);
+  }
+  std::size_t remove_all(std::string_view username) override {
+    return inner_.remove_all(username);
+  }
+  [[nodiscard]] std::vector<CredentialRecord> list(
+      std::string_view username) const override {
+    return inner_.list(username);
+  }
+  [[nodiscard]] std::size_t size() const override { return inner_.size(); }
+  std::size_t sweep_expired() override { return inner_.sweep_expired(); }
+  [[nodiscard]] std::vector<std::string> usernames() const override {
+    return inner_.usernames();
+  }
+
+ private:
+  MemoryCredentialStore inner_;
+  std::optional<CredentialRecord> replacement_;
+  mutable int gets_ = 0;
+};
+
+TEST(RepositoryCheckedOpen, PassphraseOpenUsesTheCheckedRecord) {
+  auto store_ptr = std::make_unique<RacingPutStore>();
+  RacingPutStore* store = store_ptr.get();
+  Repository repo(std::move(store_ptr), fast_policy());
+  const auto alice = make_user("checked-alice");
+  const auto mallory = make_user("checked-mallory");
+  StoreOptions portal_only;
+  portal_only.retriever_patterns = {"/O=Grid/CN=portal"};
+  repo.store("alice", kPhrase, alice.identity().str(), make_storable(alice),
+             portal_only);
+  const CredentialRecord first = *repo.record("alice");
+  // The racing PUT: same slot and phrase, another credential, no
+  // retriever restriction.
+  repo.store("alice", kPhrase, mallory.identity().str(),
+             make_storable(mallory));
+  const CredentialRecord second = *repo.record("alice");
+  store->put(first);
+  store->arm(second);
+
+  const auto checked = repo.record("alice");
+  ASSERT_TRUE(checked.has_value());
+  ASSERT_EQ(checked->retriever_patterns, portal_only.retriever_patterns);
+  EXPECT_EQ(repo.open(*checked, kPhrase).identity(), alice.identity());
+  EXPECT_EQ(store->gets(), 1);  // open read nothing more
+  EXPECT_THROW((void)repo.open(*checked, "wrong phrase!"),
+               AuthenticationError);
+
+  // The by-name open reads the store again and sees the PUT.
+  EXPECT_EQ(repo.open("alice", kPhrase).identity(), mallory.identity());
+}
+
+TEST(RepositoryCheckedOpen, OtpOpenRefusesARecordReplacedSinceTheCheck) {
+  auto store_ptr = std::make_unique<RacingPutStore>();
+  RacingPutStore* store = store_ptr.get();
+  Repository repo(std::move(store_ptr), fast_policy());
+  const auto alice = make_user("checked-otp-alice");
+  StoreOptions options;
+  options.otp_words = 4;
+  repo.store("alice", "otp seed phrase", alice.identity().str(),
+             make_storable(alice), options);
+  const CredentialRecord first = *repo.record("alice");
+  const std::string w3 = otp_word("otp seed phrase", 3);
+
+  auto later = first;
+  later.created_at += Seconds(1);
+  auto reowned = first;
+  reowned.owner_dn = "/O=Grid/CN=someone else";
+  auto resealed = first;
+  resealed.blob.back() ^= 0x01;
+  for (const auto& replacement : {later, reowned, resealed}) {
+    store->arm(replacement);
+    const auto checked = repo.record("alice");
+    EXPECT_THROW((void)repo.open(*checked, w3, /*otp=*/true),
+                 AuthorizationError);
+    EXPECT_EQ(store->gets(), 2);
+  }
+
+  // Only the chain state may move between check and open (a concurrent
+  // GET advancing it); the refused attempts above consumed no word.
+  store->arm(first);
+  const auto checked = repo.record("alice");
+  EXPECT_EQ(repo.open(*checked, w3, /*otp=*/true).identity(),
+            alice.identity());
+  store->arm(std::nullopt);
+  EXPECT_EQ(repo.info("alice")->otp_remaining, 3u);
 }
 
 }  // namespace
