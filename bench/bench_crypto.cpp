@@ -10,10 +10,12 @@
 //   BM_Crypto_Sign, _Verify     — SHA-256 signatures per key type
 //   BM_Crypto_ProxySign         — full proxy-certificate issuance
 //   BM_Crypto_ChainVerify/<d>   — chain verification vs delegation depth
+//   BM_Credential_FromPem       — decoding a stored proxy credential's PEM
 #include "bench_util.hpp"
 #include "crypto/kdf.hpp"
 #include "crypto/random.hpp"
 #include "crypto/symmetric.hpp"
+#include "gsi/proxy.hpp"
 #include "pki/certificate_builder.hpp"
 
 namespace {
@@ -131,6 +133,26 @@ BENCHMARK(BM_Crypto_Pbkdf2)
 // one-thread row it shows any contention between them.
 BENCHMARK(BM_Crypto_Pbkdf2)
     ->Arg(10000)
+    ->Threads(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_Credential_FromPem(benchmark::State& state) {
+  // What Repository::open does after the KDF and decrypt: an EC P-256
+  // proxy credential (proxy certificate, PKCS#8 key, end-entity
+  // certificate) back into OpenSSL objects.
+  static const SecureBuffer pem = [] {
+    VirtualOrganization vo;
+    return gsi::create_proxy(vo.user("from-pem")).to_pem();
+  }();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(gsi::Credential::from_pem(pem.view()));
+  }
+}
+BENCHMARK(BM_Credential_FromPem)->Unit(benchmark::kMicrosecond);
+// Four workers opening records at once; next to the one-thread row the CPU
+// column shows any contention between them.
+BENCHMARK(BM_Credential_FromPem)
     ->Threads(4)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);

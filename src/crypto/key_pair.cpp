@@ -1,6 +1,8 @@
 #include "crypto/key_pair.hpp"
 
+#include <openssl/decoder.h>
 #include <openssl/ec.h>
+#include <openssl/err.h>
 #include <openssl/evp.h>
 #include <openssl/pem.h>
 #include <openssl/rsa.h>
@@ -57,22 +59,88 @@ KeyPair KeyPair::generate(const KeySpec& spec) {
   return out;
 }
 
+namespace {
+
+// OpenSSL's pem_password_cb; `u` carries the pass phrase string_view.
+int pass_phrase_cb(char* buf, int size, int /*rwflag*/, void* u) {
+  const auto* pass = static_cast<const std::string_view*>(u);
+  if (pass->empty()) return -1;
+  const int n = std::min(size, static_cast<int>(pass->size()));
+  std::memcpy(buf, pass->data(), static_cast<std::size_t>(n));
+  return n;
+}
+
+// Installed between calls, so the reused decoder never holds a pointer to
+// a pass phrase that has gone out of scope.
+int no_pass_phrase_cb(char* /*buf*/, int /*size*/, int /*rwflag*/,
+                      void* /*u*/) {
+  return -1;
+}
+
+// OpenSSL 3 builds a decoder chain for every PEM_read_bio_PrivateKey, under
+// library-wide locks. Each thread builds its decoder once and reuses it; a
+// decoded key lands in `slot_` and is moved out before decode() returns.
+class KeyDecoder {
+ public:
+  KeyDecoder()
+      : ctx_(check_ptr(OSSL_DECODER_CTX_new_for_pkey(
+                           &slot_, "PEM", nullptr, nullptr, EVP_PKEY_KEYPAIR,
+                           nullptr, nullptr),
+                       "OSSL_DECODER_CTX_new_for_pkey")) {}
+  KeyDecoder(const KeyDecoder&) = delete;
+  KeyDecoder& operator=(const KeyDecoder&) = delete;
+  ~KeyDecoder() {
+    OSSL_DECODER_CTX_free(ctx_);
+    EVP_PKEY_free(slot_);
+  }
+
+  // The first private key in `pem`, walking past blocks that are not one
+  // (as OpenSSL's own PEM key reader does). Throws CryptoError.
+  EvpPkeyPtr decode(std::string_view pem, std::string_view pass_phrase) {
+    BioPtr bio = memory_bio(pem);
+    check(OSSL_DECODER_CTX_set_pem_password_cb(
+              ctx_, pass_phrase_cb,
+              const_cast<void*>(static_cast<const void*>(&pass_phrase))),
+          "OSSL_DECODER_CTX_set_pem_password_cb");
+    long pos = BIO_tell(bio.get());  // NOLINT(google-runtime-int)
+    ERR_set_mark();
+    while (OSSL_DECODER_from_bio(ctx_, bio.get()) != 1 || slot_ == nullptr) {
+      const long next = BIO_tell(bio.get());  // NOLINT(google-runtime-int)
+      if (BIO_eof(bio.get()) != 0 || next <= pos) {
+        ERR_clear_last_mark();
+        forget();
+        throw_openssl("decode private key PEM");
+      }
+      pos = next;
+      ERR_pop_to_mark();
+      ERR_set_mark();
+    }
+    ERR_pop_to_mark();
+    EvpPkeyPtr key(slot_);
+    slot_ = nullptr;
+    forget();
+    return key;
+  }
+
+ private:
+  void forget() noexcept {
+    EVP_PKEY_free(slot_);
+    slot_ = nullptr;
+    (void)OSSL_DECODER_CTX_set_pem_password_cb(ctx_, no_pass_phrase_cb,
+                                               nullptr);
+  }
+
+  EVP_PKEY* slot_ = nullptr;
+  OSSL_DECODER_CTX* ctx_;
+};
+
+}  // namespace
+
 KeyPair KeyPair::from_private_pem(std::string_view pem,
                                   std::string_view pass_phrase) {
-  BioPtr bio = memory_bio(pem);
-  // OpenSSL's pem_password_cb; `u` carries the pass phrase string_view.
-  auto cb = [](char* buf, int size, int /*rwflag*/, void* u) -> int {
-    const auto* pass = static_cast<const std::string_view*>(u);
-    if (pass == nullptr || pass->empty()) return -1;
-    const int n = std::min(size, static_cast<int>(pass->size()));
-    std::memcpy(buf, pass->data(), static_cast<std::size_t>(n));
-    return n;
-  };
-  EVP_PKEY* raw = PEM_read_bio_PrivateKey(bio.get(), nullptr, cb,
-                                          const_cast<void*>(static_cast<const void*>(&pass_phrase)));
-  if (raw == nullptr) throw_openssl("PEM_read_bio_PrivateKey");
+  thread_local KeyDecoder decoder;
   KeyPair out;
-  out.pkey_ = wrap(raw);
+  out.pkey_ = wrap(decoder.decode(pem, pass_phrase).release());
   out.has_private_ = true;
   return out;
 }

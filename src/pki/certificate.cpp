@@ -2,6 +2,7 @@
 
 #include <openssl/asn1.h>
 #include <openssl/bn.h>
+#include <openssl/err.h>
 #include <openssl/evp.h>
 #include <openssl/pem.h>
 #include <openssl/x509.h>
@@ -9,6 +10,8 @@
 
 #include <cctype>
 #include <ctime>
+#include <mutex>
+#include <unordered_map>
 
 #include "common/encoding.hpp"
 #include "common/error.hpp"
@@ -46,6 +49,112 @@ std::string der_encode(X509* x) {
   return out;
 }
 
+// Every distinct certificate DER this process has parsed, so a stored
+// credential's proxy and end-entity certificates are decoded once rather
+// than on every GET. Certificates are public and X509 is shared read-only
+// between Certificate copies already; no key material is ever held here.
+class ParsedCertificates {
+ public:
+  std::shared_ptr<X509> get(std::string_view der) {
+    {
+      const std::scoped_lock lock(mutex_);
+      if (auto it = by_der_.find(der); it != by_der_.end()) {
+        ++hits_;
+        return it->second;
+      }
+      ++misses_;
+    }
+    // Parse outside the lock; a racing parse of the same DER is harmless
+    // and the first one inserted wins.
+    const auto* in = reinterpret_cast<const unsigned char*>(der.data());
+    X509* x = d2i_X509(nullptr, &in, static_cast<long>(der.size()));  // NOLINT
+    if (x == nullptr) {
+      (void)crypto::drain_error_queue();
+      throw ParseError("malformed certificate in PEM input");
+    }
+    std::shared_ptr<X509> parsed = wrap(x);
+    if (der.size() > kCertificateTableDerBytes) return parsed;
+    const std::scoped_lock lock(mutex_);
+    // Wholesale eviction, as CachedCredentialStore's shards do: bounded
+    // memory, no recency bookkeeping on the hit path. The byte bound keeps
+    // a peer sending outsized certificates from growing the table past it.
+    if (by_der_.size() >= kCertificateTableCapacity ||
+        der_bytes_ + der.size() > kCertificateTableDerBytes) {
+      by_der_.clear();
+      der_bytes_ = 0;
+    }
+    const auto [it, inserted] =
+        by_der_.try_emplace(std::string(der), std::move(parsed));
+    if (inserted) der_bytes_ += der.size();
+    return it->second;
+  }
+
+  CertificateTableStats stats() {
+    const std::scoped_lock lock(mutex_);
+    return {hits_, misses_, by_der_.size()};
+  }
+
+ private:
+  struct Hash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
+  std::mutex mutex_;
+  std::unordered_map<std::string, std::shared_ptr<X509>, Hash,
+                     std::equal_to<>>
+      by_der_;
+  std::size_t der_bytes_ = 0;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+};
+
+ParsedCertificates& parsed_certificates() {
+  static ParsedCertificates table;
+  return table;
+}
+
+// One PEM block as read by PEM_read_bio; every buffer is freed (the data
+// cleansed: a credential's private key block passes through here too).
+struct PemBlock {
+  char* name = nullptr;
+  char* header = nullptr;
+  unsigned char* data = nullptr;
+  long len = 0;  // NOLINT(google-runtime-int) OpenSSL API type
+
+  PemBlock() = default;
+  PemBlock(const PemBlock&) = delete;
+  PemBlock& operator=(const PemBlock&) = delete;
+  ~PemBlock() {
+    OPENSSL_free(name);
+    OPENSSL_free(header);
+    OPENSSL_clear_free(data, static_cast<std::size_t>(len));
+  }
+};
+
+// The next certificate in `bio`, skipping blocks of other types; null at
+// the end of the input. Throws ParseError on a damaged PEM block or a
+// certificate block whose DER does not decode.
+std::shared_ptr<X509> read_certificate_block(BIO* bio) {
+  while (true) {
+    PemBlock block;
+    if (PEM_read_bio(bio, &block.name, &block.header, &block.data,
+                     &block.len) != 1) {
+      const int reason = ERR_GET_REASON(ERR_peek_last_error());
+      (void)crypto::drain_error_queue();
+      if (reason == PEM_R_NO_START_LINE) return nullptr;
+      throw ParseError("malformed PEM block");
+    }
+    const std::string_view name(block.name);
+    if (name != PEM_STRING_X509 && name != PEM_STRING_X509_OLD) continue;
+    return parsed_certificates().get(
+        std::string_view(reinterpret_cast<const char*>(block.data),
+                         static_cast<std::size_t>(block.len)));
+  }
+}
+
 }  // namespace
 
 std::string_view to_string(ProxyType type) noexcept {
@@ -62,33 +171,30 @@ std::string_view to_string(ProxyType type) noexcept {
 
 Certificate Certificate::from_pem(std::string_view pem) {
   crypto::BioPtr bio = crypto::memory_bio(pem);
-  X509* x = PEM_read_bio_X509(bio.get(), nullptr, nullptr, nullptr);
-  if (x == nullptr) {
-    (void)crypto::drain_error_queue();
+  Certificate out;
+  out.x509_ = read_certificate_block(bio.get());
+  if (out.x509_ == nullptr) {
     throw ParseError("no certificate found in PEM input");
   }
-  Certificate out;
-  out.x509_ = wrap(x);
   return out;
 }
 
 std::vector<Certificate> Certificate::chain_from_pem(std::string_view pem) {
   crypto::BioPtr bio = crypto::memory_bio(pem);
   std::vector<Certificate> chain;
-  while (true) {
-    X509* x = PEM_read_bio_X509(bio.get(), nullptr, nullptr, nullptr);
-    if (x == nullptr) {
-      (void)crypto::drain_error_queue();
-      break;
-    }
+  while (auto x509 = read_certificate_block(bio.get())) {
     Certificate cert;
-    cert.x509_ = wrap(x);
+    cert.x509_ = std::move(x509);
     chain.push_back(std::move(cert));
   }
   if (chain.empty()) {
     throw ParseError("no certificates found in PEM input");
   }
   return chain;
+}
+
+CertificateTableStats Certificate::table_stats() {
+  return parsed_certificates().stats();
 }
 
 std::string Certificate::chain_to_pem(const std::vector<Certificate>& certs) {

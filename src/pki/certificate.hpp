@@ -4,6 +4,8 @@
 // (paper §6.5, draft-ietf-pkix-impersonation).
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -27,15 +29,36 @@ enum class ProxyType {
 
 [[nodiscard]] std::string_view to_string(ProxyType type) noexcept;
 
+/// Parses of distinct certificate DER are shared process-wide (see
+/// Certificate::from_pem). The table holds at most this many certificates
+/// and this many DER bytes, and is cleared wholesale when either is
+/// reached; a certificate larger than the byte bound is parsed but not
+/// kept.
+inline constexpr std::size_t kCertificateTableCapacity = 2048;
+inline constexpr std::size_t kCertificateTableDerBytes = 4 << 20;
+
+struct CertificateTableStats {
+  std::uint64_t hits = 0;    ///< PEM certificate blocks served from the table
+  std::uint64_t misses = 0;  ///< blocks parsed with d2i_X509
+  std::size_t size = 0;      ///< distinct certificates held now
+};
+
 class Certificate {
  public:
   Certificate() = default;
 
-  /// First certificate in a PEM blob. Throws ParseError/CryptoError.
+  /// First certificate in a PEM blob; blocks of other types are skipped.
+  /// Identical DER shares one parsed X509 with every earlier parse still
+  /// in the table. Throws ParseError if there is none or it is malformed.
   static Certificate from_pem(std::string_view pem);
 
-  /// Every certificate in a PEM blob, in order of appearance.
+  /// Every certificate in a PEM blob, in order of appearance; blocks of
+  /// other types are skipped. Throws ParseError if there is none, or if any
+  /// block is malformed (a damaged chain is never silently truncated).
   static std::vector<Certificate> chain_from_pem(std::string_view pem);
+
+  /// Counters of the process-wide parsed-certificate table.
+  [[nodiscard]] static CertificateTableStats table_stats();
 
   /// Concatenate `certs` into one PEM blob.
   static std::string chain_to_pem(const std::vector<Certificate>& certs);

@@ -210,22 +210,16 @@ gsi::Credential Repository::open(const CredentialRecord& checked,
   return unseal(checked, aad);
 }
 
-gsi::Credential Repository::open_for_renewal(std::string_view username,
-                                             std::string_view name) {
-  auto record = store_->get(username, name);
-  if (!record.has_value()) {
-    throw NotFoundError(fmt::format(
-        "no credentials stored for user '{}' slot '{}'", username, name));
-  }
-  if (record->expired()) {
+gsi::Credential Repository::open_for_renewal(const CredentialRecord& checked) {
+  if (checked.expired()) {
     throw ExpiredError(fmt::format(
-        "stored credential for user '{}' has expired", username));
+        "stored credential for user '{}' has expired", checked.username));
   }
-  if (record->renewer_patterns.empty()) {
+  if (checked.renewer_patterns.empty()) {
     throw AuthorizationError(
         "stored credential was not marked renewable at store time");
   }
-  return unseal(*record, aad_for(username, name));
+  return unseal(checked, aad_for(checked.username, checked.name));
 }
 
 gsi::Credential Repository::unseal(const CredentialRecord& record,

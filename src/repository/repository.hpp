@@ -123,11 +123,13 @@ class Repository {
                                      bool otp = false);
 
   /// RENEW path (§6.6): open a *renewable* credential without the user's
-  /// pass phrase. The caller (server layer) is responsible for having
-  /// authorized the renewer against the record's renewer ACL and identity.
-  /// Throws AuthorizationError for records not stored as renewable.
-  [[nodiscard]] gsi::Credential open_for_renewal(std::string_view username,
-                                                 std::string_view name = {});
+  /// pass phrase. `checked` is the record the caller read with record()
+  /// and authorized (the renewer against the record's renewer ACL and
+  /// identity); it is opened as given, with no second store read, so what
+  /// is delegated is what was checked. Throws AuthorizationError for
+  /// records not stored as renewable, ExpiredError if it lapsed.
+  [[nodiscard]] gsi::Credential open_for_renewal(
+      const CredentialRecord& checked);
 
   /// Record metadata without authentication beyond knowing the name
   /// (server layer gates INFO by the retriever ACL).

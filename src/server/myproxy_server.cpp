@@ -774,8 +774,7 @@ void MyProxyServer::handle_renew(net::Channel& channel,
     throw AuthorizationError(fmt::format(
         "'{}' is not an authorized renewer", peer.identity.str()));
   }
-  gsi::Credential stored = repository_->open_for_renewal(
-      request.username, request.credential_name);
+  gsi::Credential stored = repository_->open_for_renewal(*record);
 
   stats_.renewals.fetch_add(1, std::memory_order_relaxed);
   delegate_to_peer(channel, stored, *record, request.lifetime,

@@ -37,6 +37,31 @@ TEST(Certificate, ChainPemRoundTrip) {
   EXPECT_EQ(chain[1], b.cert);
 }
 
+TEST(Certificate, ChainWithDamagedMiddleCertificateIsAnError) {
+  const auto a = make_identity("damaged-a");
+  const auto c = make_identity("damaged-c");
+  // Valid PEM framing and base64, but the DER is not a certificate.
+  const std::string damaged =
+      "-----BEGIN CERTIFICATE-----\nMAMCAQE=\n-----END CERTIFICATE-----\n";
+  const std::string pem = a.cert.to_pem() + damaged + c.cert.to_pem();
+  EXPECT_THROW((void)Certificate::chain_from_pem(pem), ParseError);
+  EXPECT_THROW((void)Certificate::from_pem(damaged + a.cert.to_pem()),
+               ParseError);
+}
+
+TEST(Certificate, NonCertificateBlocksAreSkipped) {
+  const auto a = make_identity("skip-a");
+  const auto b = make_identity("skip-b");
+  const std::string key_pem(a.key.private_pem().view());
+  const auto chain = Certificate::chain_from_pem(
+      key_pem + a.cert.to_pem() + key_pem + b.cert.to_pem());
+  ASSERT_EQ(chain.size(), 2u);
+  EXPECT_EQ(chain[0], a.cert);
+  EXPECT_EQ(chain[1], b.cert);
+  EXPECT_EQ(Certificate::from_pem(key_pem + b.cert.to_pem()), b.cert);
+  EXPECT_THROW((void)Certificate::chain_from_pem(key_pem), ParseError);
+}
+
 TEST(Certificate, SubjectIssuerAndSerial) {
   const auto alice = make_identity("subj-alice");
   EXPECT_EQ(alice.cert.subject(), alice.dn);

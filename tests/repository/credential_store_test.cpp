@@ -1,6 +1,7 @@
 #include "repository/credential_store.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <filesystem>
@@ -135,8 +136,10 @@ template <typename StoreT>
 class CredentialStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // The pid keeps test processes run in parallel apart: a fixture's
+    // address alone repeats across processes (it does under ASan).
     dir_ = std::filesystem::temp_directory_path() /
-           ("myproxy-store-test-" +
+           ("myproxy-store-test-" + std::to_string(::getpid()) + "-" +
             std::to_string(reinterpret_cast<std::uintptr_t>(this)));
     std::filesystem::remove_all(dir_);
     store_ = make_store<StoreT>(dir_.string());
@@ -250,7 +253,7 @@ class ShardedStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = std::filesystem::temp_directory_path() /
-           ("myproxy-sharded-test-" +
+           ("myproxy-sharded-test-" + std::to_string(::getpid()) + "-" +
             std::to_string(reinterpret_cast<std::uintptr_t>(this)));
     std::filesystem::remove_all(dir_);
   }

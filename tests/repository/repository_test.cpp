@@ -211,7 +211,8 @@ TEST(Repository, RenewableCredentialOpensWithoutPassphrase) {
   repo.store("alice", kPhrase, alice.identity().str(), make_storable(alice),
              options);
 
-  EXPECT_EQ(repo.open_for_renewal("alice").identity(), alice.identity());
+  EXPECT_EQ(repo.open_for_renewal(*repo.record("alice")).identity(),
+            alice.identity());
   // Pass-phrase retrieval still works against the digest.
   EXPECT_EQ(repo.open("alice", kPhrase).identity(), alice.identity());
   EXPECT_THROW((void)repo.open("alice", "wrong"), AuthenticationError);
@@ -221,7 +222,8 @@ TEST(Repository, NonRenewableCredentialRefusesRenewal) {
   auto repo = make_repository();
   const auto alice = make_user("repo-norenew-alice");
   repo.store("alice", kPhrase, alice.identity().str(), make_storable(alice));
-  EXPECT_THROW((void)repo.open_for_renewal("alice"), AuthorizationError);
+  EXPECT_THROW((void)repo.open_for_renewal(*repo.record("alice")),
+               AuthorizationError);
 }
 
 TEST(Repository, EncryptAtRestAblationStillAuthenticates) {
@@ -352,6 +354,41 @@ TEST(RepositoryCheckedOpen, PassphraseOpenUsesTheCheckedRecord) {
 
   // The by-name open reads the store again and sees the PUT.
   EXPECT_EQ(repo.open("alice", kPhrase).identity(), mallory.identity());
+}
+
+TEST(RepositoryCheckedOpen, RenewalOpensTheCheckedRecord) {
+  auto store_ptr = std::make_unique<RacingPutStore>();
+  RacingPutStore* store = store_ptr.get();
+  Repository repo(std::move(store_ptr), fast_policy());
+  const auto alice = make_user("checked-renew-alice");
+  const auto mallory = make_user("checked-renew-mallory");
+  StoreOptions renewable;
+  renewable.renewer_patterns = {"/O=Grid/CN=condor"};
+  repo.store("alice", kPhrase, alice.identity().str(), make_storable(alice),
+             renewable);
+  const CredentialRecord first = *repo.record("alice");
+  // The racing PUT: same slot, another owner's renewable credential.
+  repo.store("alice", kPhrase, mallory.identity().str(),
+             make_storable(mallory), renewable);
+  const CredentialRecord second = *repo.record("alice");
+  store->put(first);
+  store->arm(second);
+
+  const auto checked = repo.record("alice");
+  ASSERT_TRUE(checked.has_value());
+  ASSERT_EQ(checked->owner_dn, alice.identity().str());
+  EXPECT_EQ(repo.open_for_renewal(*checked).identity(), alice.identity());
+  EXPECT_EQ(store->gets(), 1);  // open read nothing more
+
+  // The checked record still decides renewability.
+  auto not_renewable = *checked;
+  not_renewable.renewer_patterns.clear();
+  EXPECT_THROW((void)repo.open_for_renewal(not_renewable),
+               AuthorizationError);
+
+  // A fresh check sees the PUT, and opens what it saw.
+  EXPECT_EQ(repo.open_for_renewal(*repo.record("alice")).identity(),
+            mallory.identity());
 }
 
 TEST(RepositoryCheckedOpen, OtpOpenRefusesARecordReplacedSinceTheCheck) {

@@ -4,6 +4,7 @@
 // size counter, and the group-commit batcher must hold up under real
 // concurrency. Functional postconditions are checked at the end.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <filesystem>
@@ -78,7 +79,7 @@ class StoreConcurrencyTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = std::filesystem::temp_directory_path() /
-           ("myproxy-store-concurrency-" +
+           ("myproxy-store-concurrency-" + std::to_string(::getpid()) + "-" +
             std::to_string(reinterpret_cast<std::uintptr_t>(this)));
     std::filesystem::remove_all(dir_);
   }
