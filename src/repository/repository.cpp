@@ -316,4 +316,20 @@ std::optional<CredentialRecord> Repository::record(
   return store_->get(username, name);
 }
 
+gsi::ProxyOptions Repository::proxy_options(const CredentialRecord& record,
+                                            Seconds requested_lifetime,
+                                            bool want_limited) const {
+  gsi::ProxyOptions options;
+  options.lifetime = std::min({requested_lifetime > Seconds(0)
+                                   ? requested_lifetime
+                                   : policy_.default_delegation_lifetime,
+                               record.max_delegation_lifetime,
+                               policy_.max_delegation_lifetime});
+  options.limited = want_limited || record.always_limited;
+  if (record.restriction.has_value()) {
+    options.restriction = pki::RestrictionPolicy::parse(*record.restriction);
+  }
+  return options;
+}
+
 }  // namespace myproxy::repository

@@ -22,6 +22,7 @@
 #include "common/secure_buffer.hpp"
 #include "crypto/kdf.hpp"
 #include "gsi/credential.hpp"
+#include "gsi/proxy.hpp"
 #include "repository/credential_store.hpp"
 #include "repository/passphrase_policy.hpp"
 
@@ -159,6 +160,15 @@ class Repository {
   /// Raw record access for the server layer (ACL evaluation, OTP state).
   [[nodiscard]] std::optional<CredentialRecord> record(
       std::string_view username, std::string_view name = {}) const;
+
+  /// How a proxy delegated from `record` is issued, for the native port
+  /// and the HTTP gateway alike: the requested lifetime (0 = the policy
+  /// default, §4.3) clamped to the record's and the policy's maxima,
+  /// limited when asked or when the record always is, and the record's
+  /// restriction policy (§6.5).
+  [[nodiscard]] gsi::ProxyOptions proxy_options(const CredentialRecord& record,
+                                                Seconds requested_lifetime,
+                                                bool want_limited) const;
 
   /// Sweep expired records (run periodically by the server).
   std::size_t sweep_expired() { return store_->sweep_expired(); }

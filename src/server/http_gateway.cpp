@@ -1,7 +1,5 @@
 #include "server/http_gateway.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "common/strings.hpp"
 #include "common/format.hpp"
@@ -142,9 +140,8 @@ HttpResponse HttpGateway::handle_get(
   gsi::Credential stored =
       repository_->open(*record, form_get(form, "passphrase"), otp);
 
-  gsi::ProxyOptions options;
   const std::string lifetime = form_get(form, "lifetime");
-  Seconds requested = repository_->policy().default_delegation_lifetime;
+  Seconds requested{0};  // the server default, as on the native port
   if (!lifetime.empty()) {
     // Browser-supplied field: reject junk rather than truncating "12abc".
     const auto parsed = strings::parse_i64(lifetime);
@@ -153,16 +150,8 @@ HttpResponse HttpGateway::handle_get(
     }
     requested = Seconds(*parsed);
   }
-  requested = std::min(requested, record->max_delegation_lifetime);
-  requested = std::min(requested,
-                       repository_->policy().max_delegation_lifetime);
-  options.lifetime = requested;
-  options.limited =
-      form_get(form, "limited") == "1" || record->always_limited;
-  if (record->restriction.has_value()) {
-    options.restriction =
-        pki::RestrictionPolicy::parse(*record->restriction);
-  }
+  const gsi::ProxyOptions options = repository_->proxy_options(
+      *record, requested, form_get(form, "limited") == "1");
   // Single round trip: CSR in, chain out (§6.4's attraction).
   return text_response(200, "OK",
                        gsi::delegate_credential(stored, csr_pem, options));

@@ -168,6 +168,88 @@ constexpr Millis kFenceRetryAfter{200};
 /// How many per-identity admission rows STATS and /metrics surface.
 constexpr std::size_t kTopIdentities = 5;
 
+/// Server-wide ACL (§5.1) a command's caller must pass before its handler
+/// runs: one ServerConfig list, or either of two. Record-level checks
+/// (owner, per-credential patterns) stay in the handlers.
+struct ServerAcl {
+  std::string_view name;  ///< empty: no server-wide ACL
+  gsi::AccessControlList ServerConfig::*list = nullptr;
+  gsi::AccessControlList ServerConfig::*or_list = nullptr;
+
+  [[nodiscard]] bool allows(const ServerConfig& config,
+                            const pki::DistinguishedName& dn) const {
+    return list == nullptr || (config.*list).allows(dn) ||
+           (or_list != nullptr && (config.*or_list).allows(dn));
+  }
+};
+
+constexpr ServerAcl kNoAcl{};
+constexpr ServerAcl kAccepted{"accepted_credentials",
+                              &ServerConfig::accepted_credentials};
+constexpr ServerAcl kRetrievers{"authorized_retrievers",
+                                &ServerConfig::authorized_retrievers};
+/// Any identity the server would talk to at all.
+constexpr ServerAcl kRetrieversOrAccepted{
+    "authorized_retrievers or accepted_credentials",
+    &ServerConfig::authorized_retrievers, &ServerConfig::accepted_credentials};
+constexpr ServerAcl kReplicaAcl{"replica_acl", &ServerConfig::replica_acl};
+constexpr ServerAcl kClusterAdmin{"cluster_admin_acl",
+                                  &ServerConfig::cluster_admin_acl};
+
+/// Whether a command mutates the repository — a replica redirects it to
+/// the primary, and a migration cutover fences it.
+enum class WriteClass {
+  kNever,
+  kAlways,
+  kOnlyUnderOtp,  ///< verifying an OTP word advances the chain
+};
+
+/// The record `request` names, or NotFoundError.
+repository::CredentialRecord stored_record(
+    const repository::Repository& repository, const Request& request) {
+  auto record = repository.record(request.username, request.credential_name);
+  if (!record.has_value()) {
+    throw NotFoundError(fmt::format("no credentials stored for '{}'",
+                                    request.username));
+  }
+  return std::move(*record);
+}
+
+/// Only the identity that stored a credential may renew, destroy, re-phrase
+/// or export it (§3.3: the user stays in control of their credentials).
+void require_owner(const repository::CredentialRecord& record,
+                   const pki::VerifiedIdentity& peer) {
+  if (!(peer.identity.str() == record.owner_dn)) {
+    throw AuthorizationError(fmt::format(
+        "'{}' does not own the stored credential", peer.identity.str()));
+  }
+}
+
+/// The per-credential narrowing the user attached at store time (§4.1
+/// retrieval restrictions), on top of the server-wide retriever ACL.
+void require_retriever(const repository::CredentialRecord& record,
+                       const pki::VerifiedIdentity& peer) {
+  if (record.retriever_patterns.empty()) return;
+  if (!gsi::AccessControlList(record.retriever_patterns)
+           .allows(peer.identity)) {
+    throw AuthorizationError(fmt::format(
+        "'{}' is not an authorized retriever of this credential",
+        peer.identity.str()));
+  }
+}
+
+/// What PUT and STORE both attach to the stored credential.
+repository::StoreOptions store_options(const Request& request) {
+  repository::StoreOptions options;
+  options.name = request.credential_name;
+  options.max_delegation_lifetime = request.lifetime;
+  options.retriever_patterns = request.retriever_patterns;
+  options.renewer_patterns = request.renewer_patterns;
+  options.restriction = request.restriction;
+  options.task_tags = request.task;
+  return options;
+}
+
 /// Prometheus label values escape backslash, quote, and newline.
 std::string metrics_label_escape(std::string_view raw) {
   std::string out;
@@ -426,6 +508,62 @@ std::optional<std::string> MyProxyServer::preauth_refusal(
   return busy_response(preauth.retry_after).serialize();
 }
 
+struct MyProxyServer::CommandPolicy {
+  Command command;
+  void (MyProxyServer::*handler)(net::Channel&, const Request&,
+                                 const pki::VerifiedIdentity&);
+  ServerAcl acl;
+  WriteClass writes;
+  /// Answered on any node and never shed: exempt from shard routing and
+  /// admission. STATS and CLUSTER_MAP carry no username to route by and
+  /// must reach a saturated server; REPLICA_SYNC is a node-local stream
+  /// that would pin a fair-queue slot for the replica's lifetime; the
+  /// migration commands manage ownership itself, and shedding them would
+  /// wedge the rebalancing meant to relieve the load.
+  bool control_plane;
+};
+
+const MyProxyServer::CommandPolicy& MyProxyServer::command_policy(
+    Command command) {
+  using enum WriteClass;
+  using S = MyProxyServer;
+  // Indexed by Command. RENEW always writes because only the primary's
+  // master key opens a renewable record; MIGRATE / MIGRATE_INSTALL mutate
+  // the store but are control plane, never bounced by the replica redirect.
+  static constexpr std::array<CommandPolicy, ServerStats::kOpCount> kTable{{
+      {Command::kGet, &S::handle_get, kRetrievers, kOnlyUnderOtp, false},
+      {Command::kPut, &S::handle_put, kAccepted, kAlways, false},
+      {Command::kInfo, &S::handle_info, kRetrieversOrAccepted, kNever, false},
+      {Command::kDestroy, &S::handle_destroy, kNoAcl, kAlways, false},
+      {Command::kChangePassphrase, &S::handle_change_passphrase, kNoAcl,
+       kAlways, false},
+      {Command::kStore, &S::handle_store, kAccepted, kAlways, false},
+      {Command::kRetrieve, &S::handle_retrieve, kRetrievers, kOnlyUnderOtp,
+       false},
+      {Command::kList, &S::handle_list, kRetrieversOrAccepted, kNever, false},
+      {Command::kRenew, &S::handle_renew, kNoAcl, kAlways, false},
+      {Command::kReplicaSync, &S::handle_replica_sync, kReplicaAcl, kNever,
+       true},
+      {Command::kStats, &S::handle_stats, kRetrieversOrAccepted, kNever, true},
+      {Command::kClusterMap, &S::handle_cluster_map, kRetrieversOrAccepted,
+       kNever, true},
+      {Command::kMigrate, &S::handle_migrate, kClusterAdmin, kNever, true},
+      {Command::kMigrateInstall, &S::handle_migrate_install, kClusterAdmin,
+       kNever, true},
+  }};
+  // A Command without a row (or rows out of order) fails the build.
+  static_assert([] {
+    for (std::size_t i = 0; i < kTable.size(); ++i) {
+      if (kTable[i].command != static_cast<Command>(i) ||
+          kTable[i].handler == nullptr) {
+        return false;
+      }
+    }
+    return true;
+  }());
+  return kTable[static_cast<std::size_t>(command)];
+}
+
 void MyProxyServer::serve_request(net::Channel& channel,
                                   const pki::VerifiedIdentity& peer,
                                   std::string_view raw_request) {
@@ -447,12 +585,20 @@ void MyProxyServer::serve_request(net::Channel& channel,
                          peer.identity.str(), request.username,
                          AuditOutcome::kSuccess, ""};
 
+  const CommandPolicy& policy = command_policy(request.command);
+  const bool writes =
+      policy.writes == WriteClass::kAlways ||
+      (policy.writes == WriteClass::kOnlyUnderOtp &&
+       request.auth_mode == protocol::AuthMode::kOtp);
+
   // Cluster ownership enforcement: a request for a user whose shard lives
   // on another node is refused with a WRONG_SHARD frame naming the owner
   // and the map epoch — a routing-aware client refreshes its map and
   // retries there. Checked before the replica redirect: a replica answers
   // for its own node's shards only.
-  if (auto refusal = cluster_ownership_refusal(request)) {
+  if (auto refusal = policy.control_plane
+                         ? std::nullopt
+                         : cluster_refusal_for(request.username)) {
     stats_.cluster_wrong_shard.fetch_add(1, std::memory_order_relaxed);
     audit_event.outcome = AuditOutcome::kError;
     audit_event.detail =
@@ -467,8 +613,7 @@ void MyProxyServer::serve_request(net::Channel& channel,
   // cutover is turned away before any crypto is spent on it. The
   // authoritative check is the cluster_write_permit each mutating handler
   // holds — this one only saves work.
-  if (is_write_command(request) &&
-      fenced_shard_.load(std::memory_order_acquire) >= 0) {
+  if (writes && fenced_shard_.load(std::memory_order_acquire) >= 0) {
     bool fenced = false;
     {
       const std::lock_guard lock(cluster_mutex_);
@@ -490,8 +635,8 @@ void MyProxyServer::serve_request(net::Channel& channel,
   // Replica read-only enforcement: mutations are refused with a redirect
   // carrying the primary's endpoint, so a failover-aware client retries
   // there instead of treating this as a hard failure.
-  if (config_.replication_role == replication::ReplicationRole::kReplica &&
-      is_write_command(request)) {
+  if (writes &&
+      config_.replication_role == replication::ReplicationRole::kReplica) {
     stats_.repl_redirects.fetch_add(1, std::memory_order_relaxed);
     Response redirect = Response::make_error(
         "replica is read-only; retry this operation at the primary");
@@ -505,17 +650,9 @@ void MyProxyServer::serve_request(net::Channel& channel,
   }
 
   // Per-identity admission: token bucket + fair queue keyed on the
-  // authenticated DN. STATS stays exempt so an operator can always reach a
-  // saturated server; REPLICA_SYNC streams for the life of the replica and
-  // would otherwise pin a fair-queue slot forever. The cluster control
-  // plane (map fetch, migration) is likewise exempt: shedding it under
-  // load would wedge exactly the rebalancing meant to relieve the load.
+  // authenticated DN (the control plane is exempt, see CommandPolicy).
   std::optional<AdmissionGuard> admission_guard;
-  if (request.command != Command::kStats &&
-      request.command != Command::kReplicaSync &&
-      request.command != Command::kClusterMap &&
-      request.command != Command::kMigrate &&
-      request.command != Command::kMigrateInstall) {
+  if (!policy.control_plane) {
     const AdmissionDecision decision = admission_.admit(peer.identity.str());
     if (!decision.admitted) {
       log::warn(kLogComponent, "admission shed ({}) for '{}': retry in {} ms",
@@ -547,50 +684,12 @@ void MyProxyServer::serve_request(net::Channel& channel,
       stats_.op_latency[static_cast<std::size_t>(request.command)]};
 
   try {
-    switch (request.command) {
-      case Command::kPut:
-        handle_put(channel, request, peer);
-        break;
-      case Command::kGet:
-        handle_get(channel, request, peer);
-        break;
-      case Command::kRenew:
-        handle_renew(channel, request, peer);
-        break;
-      case Command::kInfo:
-        handle_info(channel, request, peer);
-        break;
-      case Command::kList:
-        handle_list(channel, request, peer);
-        break;
-      case Command::kDestroy:
-        handle_destroy(channel, request, peer);
-        break;
-      case Command::kChangePassphrase:
-        handle_change_passphrase(channel, request, peer);
-        break;
-      case Command::kStore:
-        handle_store(channel, request, peer);
-        break;
-      case Command::kRetrieve:
-        handle_retrieve(channel, request, peer);
-        break;
-      case Command::kReplicaSync:
-        handle_replica_sync(channel, request, peer);
-        break;
-      case Command::kStats:
-        handle_stats(channel, request, peer);
-        break;
-      case Command::kClusterMap:
-        handle_cluster_map(channel, request, peer);
-        break;
-      case Command::kMigrate:
-        handle_migrate(channel, request, peer);
-        break;
-      case Command::kMigrateInstall:
-        handle_migrate_install(channel, request, peer);
-        break;
+    if (!policy.acl.allows(config_, peer.identity)) {
+      throw AuthorizationError(fmt::format(
+          "'{}' is not in {} (required for {})", peer.identity.str(),
+          policy.acl.name, to_string(request.command)));
     }
+    (this->*policy.handler)(channel, request, peer);
     audit_.record(std::move(audit_event));
   } catch (const MigrationFenced&) {
     // The write lost the race with a cutover fence after passing the
@@ -648,25 +747,47 @@ crypto::KeyPair MyProxyServer::next_delegation_key() {
   return key;
 }
 
-bool MyProxyServer::retriever_allowed(
-    const repository::CredentialRecord& record,
-    const pki::VerifiedIdentity& peer) const {
-  // Server-wide ACL first (§5.1), then the per-credential narrowing the
-  // user attached at store time (§4.1 retrieval restrictions).
-  if (!config_.authorized_retrievers.allows(peer.identity)) return false;
-  if (record.retriever_patterns.empty()) return true;
-  const gsi::AccessControlList per_credential(record.retriever_patterns);
-  return per_credential.allows(peer.identity);
+gsi::Credential MyProxyServer::open_for_retrieval(
+    const Request& request, const repository::CredentialRecord& record) {
+  // Authenticate the *user* (pass phrase or OTP) on top of the already-
+  // authenticated *client* (§5.1: both are required). Verifying an OTP
+  // word advances the chain — a store write, so it takes the fence permit.
+  const bool otp = request.auth_mode == protocol::AuthMode::kOtp;
+  std::shared_lock<std::shared_mutex> permit;
+  if (otp) permit = cluster_write_permit(request.username);
+  return timed_us(stats_.get_open_us, [&] {
+    return repository_->open(record, request.passphrase, otp);
+  });
+}
+
+void MyProxyServer::store_received(net::Channel& channel,
+                                   const Request& request,
+                                   const pki::VerifiedIdentity& peer,
+                                   const gsi::Credential& credential,
+                                   const repository::StoreOptions& options) {
+  // The stored credential must verify under our trust roots and must belong
+  // to the connection's authenticated identity — a client cannot park
+  // someone else's (stolen) proxy under its own account unnoticed.
+  const pki::VerifiedIdentity stored_identity =
+      trust_store_.verify(credential.full_chain(), config_.verify_options);
+  if (!(stored_identity.identity == peer.identity)) {
+    throw AuthorizationError(fmt::format(
+        "stored identity '{}' does not match connection identity '{}'",
+        stored_identity.identity.str(), peer.identity.str()));
+  }
+  const auto permit = cluster_write_permit(request.username);
+  timed_us(stats_.put_store_us, [&] {
+    repository_->store(request.username, request.passphrase,
+                       peer.identity.str(), credential, options);
+  });
+  stats_.puts.fetch_add(1, std::memory_order_relaxed);
+  channel.send(Response::make_ok().serialize());
 }
 
 // --- PUT (Figure 1) ---------------------------------------------------------
 
 void MyProxyServer::handle_put(net::Channel& channel, const Request& request,
                                const pki::VerifiedIdentity& peer) {
-  if (!config_.accepted_credentials.allows(peer.identity)) {
-    throw AuthorizationError(fmt::format(
-        "'{}' is not in accepted_credentials", peer.identity.str()));
-  }
   if (request.username.empty()) {
     throw PolicyError("username must not be empty");
   }
@@ -679,71 +800,28 @@ void MyProxyServer::handle_put(net::Channel& channel, const Request& request,
   channel.send(delegation.csr_pem);
 
   const std::string chain_pem = channel.receive();
-  gsi::Credential delegated =
+  const gsi::Credential delegated =
       gsi::complete_delegation(std::move(delegation.key), chain_pem);
 
-  // The stored credential must verify under our trust roots and must belong
-  // to the connection's authenticated identity — a client cannot park
-  // someone else's (stolen) proxy under its own account unnoticed.
-  const pki::VerifiedIdentity stored_identity =
-      trust_store_.verify(delegated.full_chain(), config_.verify_options);
-  if (!(stored_identity.identity == peer.identity)) {
-    throw AuthorizationError(fmt::format(
-        "delegated identity '{}' does not match connection identity '{}'",
-        stored_identity.identity.str(), peer.identity.str()));
-  }
-
-  repository::StoreOptions options;
-  options.name = request.credential_name;
-  options.max_delegation_lifetime = request.lifetime;
-  options.retriever_patterns = request.retriever_patterns;
-  options.renewer_patterns = request.renewer_patterns;
+  repository::StoreOptions options = store_options(request);
   options.always_limited = request.want_limited;
-  options.restriction = request.restriction;
-  options.task_tags = request.task;
   if (request.auth_mode == protocol::AuthMode::kOtp) {
     // PASSPHRASE carries the OTP seed; LIFETIME the chain length would be
     // overloading, so a fixed generous chain is armed.
     options.otp_words = 1000;
   }
-  const auto permit = cluster_write_permit(request.username);
-  timed_us(stats_.put_store_us, [&] {
-    repository_->store(request.username, request.passphrase,
-                       peer.identity.str(), delegated, options);
-  });
-  stats_.puts.fetch_add(1, std::memory_order_relaxed);
-  channel.send(Response::make_ok().serialize());
+  store_received(channel, request, peer, delegated, options);
 }
 
 // --- GET (Figure 2) ---------------------------------------------------------
 
 void MyProxyServer::handle_get(net::Channel& channel, const Request& request,
                                const pki::VerifiedIdentity& peer) {
-  const auto record =
-      repository_->record(request.username, request.credential_name);
-  if (!record.has_value()) {
-    throw NotFoundError(fmt::format("no credentials stored for '{}'",
-                                    request.username));
-  }
-  if (!retriever_allowed(*record, peer)) {
-    throw AuthorizationError(fmt::format(
-        "'{}' is not an authorized retriever", peer.identity.str()));
-  }
-  // Authenticate the *user* (pass phrase or OTP) on top of the already-
-  // authenticated *client* (§5.1: both are required). Verifying an OTP
-  // word advances the chain — a store write, so it takes the fence permit.
-  std::shared_lock<std::shared_mutex> permit;
-  if (request.auth_mode == protocol::AuthMode::kOtp) {
-    permit = cluster_write_permit(request.username);
-  }
-  gsi::Credential stored = timed_us(stats_.get_open_us, [&] {
-    return repository_->open(*record, request.passphrase,
-                             request.auth_mode == protocol::AuthMode::kOtp);
-  });
-  permit = {};
-
+  const auto record = stored_record(*repository_, request);
+  require_retriever(record, peer);
+  const gsi::Credential stored = open_for_retrieval(request, record);
   stats_.gets.fetch_add(1, std::memory_order_relaxed);
-  delegate_to_peer(channel, stored, *record, request.lifetime,
+  delegate_to_peer(channel, stored, record, request.lifetime,
                    request.want_limited);
 }
 
@@ -752,32 +830,23 @@ void MyProxyServer::handle_get(net::Channel& channel, const Request& request,
 void MyProxyServer::handle_renew(net::Channel& channel,
                                  const Request& request,
                                  const pki::VerifiedIdentity& peer) {
-  const auto record =
-      repository_->record(request.username, request.credential_name);
-  if (!record.has_value()) {
-    throw NotFoundError(fmt::format("no credentials stored for '{}'",
-                                    request.username));
-  }
+  const auto record = stored_record(*repository_, request);
   // Renewal replaces the pass phrase with possession of the credential
   // being renewed: the caller must *be* the stored identity (its about-to-
   // expire proxy still authenticates the connection)...
-  if (!(peer.identity.str() == record->owner_dn)) {
-    throw AuthorizationError(fmt::format(
-        "renewal identity '{}' does not own the stored credential",
-        peer.identity.str()));
-  }
+  require_owner(record, peer);
   // ...and must additionally pass either the server-wide renewer ACL or
   // the per-credential renewer patterns the user attached at store time.
-  const gsi::AccessControlList per_credential(record->renewer_patterns);
+  const gsi::AccessControlList per_credential(record.renewer_patterns);
   if (!config_.authorized_renewers.allows(peer.identity) &&
       !per_credential.allows(peer.identity)) {
     throw AuthorizationError(fmt::format(
         "'{}' is not an authorized renewer", peer.identity.str()));
   }
-  gsi::Credential stored = repository_->open_for_renewal(*record);
+  const gsi::Credential stored = repository_->open_for_renewal(record);
 
   stats_.renewals.fetch_add(1, std::memory_order_relaxed);
-  delegate_to_peer(channel, stored, *record, request.lifetime,
+  delegate_to_peer(channel, stored, record, request.lifetime,
                    request.want_limited);
 }
 
@@ -785,20 +854,8 @@ void MyProxyServer::delegate_to_peer(
     net::Channel& channel, const gsi::Credential& credential,
     const repository::CredentialRecord& record, Seconds requested_lifetime,
     bool want_limited) {
-  const auto& policy = repository_->policy();
-  Seconds lifetime = requested_lifetime > Seconds(0)
-                         ? requested_lifetime
-                         : policy.default_delegation_lifetime;
-  lifetime = std::min(lifetime, record.max_delegation_lifetime);
-  lifetime = std::min(lifetime, policy.max_delegation_lifetime);
-
-  gsi::ProxyOptions options;
-  options.lifetime = lifetime;
-  options.limited = want_limited || record.always_limited;
-  if (record.restriction.has_value()) {
-    options.restriction = pki::RestrictionPolicy::parse(*record.restriction);
-  }
-
+  const gsi::ProxyOptions options =
+      repository_->proxy_options(record, requested_lifetime, want_limited);
   channel.send(Response::make_ok().serialize());
   const std::string csr_pem = channel.receive();
   const std::string chain_pem =
@@ -810,11 +867,7 @@ void MyProxyServer::delegate_to_peer(
 
 void MyProxyServer::handle_info(net::Channel& channel,
                                 const Request& request,
-                                const pki::VerifiedIdentity& peer) {
-  if (!config_.authorized_retrievers.allows(peer.identity) &&
-      !config_.accepted_credentials.allows(peer.identity)) {
-    throw AuthorizationError("not authorized for INFO");
-  }
+                                const pki::VerifiedIdentity&) {
   const auto info =
       repository_->info(request.username, request.credential_name);
   if (!info.has_value()) {
@@ -840,11 +893,7 @@ void MyProxyServer::handle_info(net::Channel& channel,
 
 void MyProxyServer::handle_list(net::Channel& channel,
                                 const Request& request,
-                                const pki::VerifiedIdentity& peer) {
-  if (!config_.authorized_retrievers.allows(peer.identity) &&
-      !config_.accepted_credentials.allows(peer.identity)) {
-    throw AuthorizationError("not authorized for LIST");
-  }
+                                const pki::VerifiedIdentity&) {
   Response response;
   if (!request.task.empty()) {
     // Wallet selection (§6.2): answer with the single best credential.
@@ -872,18 +921,7 @@ void MyProxyServer::handle_list(net::Channel& channel,
 void MyProxyServer::handle_destroy(net::Channel& channel,
                                    const Request& request,
                                    const pki::VerifiedIdentity& peer) {
-  const auto record =
-      repository_->record(request.username, request.credential_name);
-  if (!record.has_value()) {
-    throw NotFoundError(fmt::format("no credentials stored for '{}'",
-                                    request.username));
-  }
-  // Only the identity that stored a credential may destroy it (§3.3: the
-  // user stays in control of their credentials).
-  if (!(peer.identity.str() == record->owner_dn)) {
-    throw AuthorizationError(fmt::format(
-        "'{}' does not own the stored credential", peer.identity.str()));
-  }
+  require_owner(stored_record(*repository_, request), peer);
   const auto permit = cluster_write_permit(request.username);
   repository_->destroy(request.username, request.credential_name);
   channel.send(Response::make_ok().serialize());
@@ -892,16 +930,7 @@ void MyProxyServer::handle_destroy(net::Channel& channel,
 void MyProxyServer::handle_change_passphrase(
     net::Channel& channel, const Request& request,
     const pki::VerifiedIdentity& peer) {
-  const auto record =
-      repository_->record(request.username, request.credential_name);
-  if (!record.has_value()) {
-    throw NotFoundError(fmt::format("no credentials stored for '{}'",
-                                    request.username));
-  }
-  if (!(peer.identity.str() == record->owner_dn)) {
-    throw AuthorizationError(fmt::format(
-        "'{}' does not own the stored credential", peer.identity.str()));
-  }
+  require_owner(stored_record(*repository_, request), peer);
   const auto permit = cluster_write_permit(request.username);
   repository_->change_passphrase(request.username, request.passphrase,
                                  request.new_passphrase,
@@ -914,105 +943,34 @@ void MyProxyServer::handle_change_passphrase(
 void MyProxyServer::handle_store(net::Channel& channel,
                                  const Request& request,
                                  const pki::VerifiedIdentity& peer) {
-  if (!config_.accepted_credentials.allows(peer.identity)) {
-    throw AuthorizationError(fmt::format(
-        "'{}' is not in accepted_credentials", peer.identity.str()));
-  }
   channel.send(Response::make_ok().serialize());
   // STORE ships the whole credential (certificate + key), unlike PUT which
   // delegates a proxy. The transport is encrypted; at rest the credential
   // is pass-phrase sealed like any other record.
-  const std::string pem = channel.receive();
-  gsi::Credential credential = gsi::Credential::from_pem(pem);
-  const pki::VerifiedIdentity stored_identity =
-      trust_store_.verify(credential.full_chain(), config_.verify_options);
-  if (!(stored_identity.identity == peer.identity)) {
-    throw AuthorizationError(
-        "stored identity does not match connection identity");
-  }
-  repository::StoreOptions options;
-  options.name = request.credential_name;
-  options.max_delegation_lifetime = request.lifetime;
-  options.retriever_patterns = request.retriever_patterns;
-  options.renewer_patterns = request.renewer_patterns;
-  options.task_tags = request.task;
-  options.restriction = request.restriction;
+  const gsi::Credential credential =
+      gsi::Credential::from_pem(channel.receive());
+  repository::StoreOptions options = store_options(request);
   options.long_term = true;
-  const auto permit = cluster_write_permit(request.username);
-  timed_us(stats_.put_store_us, [&] {
-    repository_->store(request.username, request.passphrase,
-                       peer.identity.str(), credential, options);
-  });
-  stats_.puts.fetch_add(1, std::memory_order_relaxed);
-  channel.send(Response::make_ok().serialize());
+  store_received(channel, request, peer, credential, options);
 }
 
 void MyProxyServer::handle_retrieve(net::Channel& channel,
                                     const Request& request,
                                     const pki::VerifiedIdentity& peer) {
-  const auto record =
-      repository_->record(request.username, request.credential_name);
-  if (!record.has_value()) {
-    throw NotFoundError(fmt::format("no credentials stored for '{}'",
-                                    request.username));
-  }
-  if (!retriever_allowed(*record, peer)) {
-    throw AuthorizationError(fmt::format(
-        "'{}' is not an authorized retriever", peer.identity.str()));
-  }
+  const auto record = stored_record(*repository_, request);
+  require_retriever(record, peer);
   // RETRIEVE additionally requires the caller to *be* the credential owner:
   // exporting key material to a third party would defeat §3.3's "remove,
   // as much as possible, any credentials from the portal".
-  if (!(peer.identity.str() == record->owner_dn)) {
-    throw AuthorizationError("only the owner may retrieve key material");
-  }
-  std::shared_lock<std::shared_mutex> permit;
-  if (request.auth_mode == protocol::AuthMode::kOtp) {
-    permit = cluster_write_permit(request.username);
-  }
-  gsi::Credential stored = timed_us(stats_.get_open_us, [&] {
-    return repository_->open(*record, request.passphrase,
-                             request.auth_mode == protocol::AuthMode::kOtp);
-  });
-  permit = {};
+  require_owner(record, peer);
+  const gsi::Credential stored = open_for_retrieval(request, record);
   channel.send(Response::make_ok().serialize());
   const SecureBuffer pem = stored.to_pem();
   channel.send(pem.view());
   stats_.gets.fetch_add(1, std::memory_order_relaxed);
 }
 
-// --- Replication (REPLICA_SYNC / STATS) --------------------------------------
-
-bool MyProxyServer::is_write_command(const Request& request) {
-  switch (request.command) {
-    case Command::kPut:
-    case Command::kStore:
-    case Command::kDestroy:
-    case Command::kChangePassphrase:
-      return true;
-    case Command::kRenew:
-      // Renewal reads a master-key-sealed record, and only the primary's
-      // master key can open it.
-      return true;
-    case Command::kGet:
-    case Command::kRetrieve:
-      // Verifying an OTP word advances the chain — a store write.
-      return request.auth_mode == protocol::AuthMode::kOtp;
-    case Command::kInfo:
-    case Command::kList:
-    case Command::kReplicaSync:
-    case Command::kStats:
-    case Command::kClusterMap:
-      return false;
-    case Command::kMigrate:
-    case Command::kMigrateInstall:
-      // Mutations, but server-to-server control plane — they carry their
-      // own ACL and must never be bounced off a node by the replica
-      // redirect (a migration target applies writes directly).
-      return false;
-  }
-  return false;
-}
+// --- Replication (REPLICA_SYNC) ----------------------------------------------
 
 void MyProxyServer::handle_replica_sync(net::Channel& channel,
                                         const Request& request,
@@ -1020,12 +978,6 @@ void MyProxyServer::handle_replica_sync(net::Channel& channel,
   if (config_.replication_role != replication::ReplicationRole::kPrimary ||
       config_.journal == nullptr) {
     throw PolicyError("this server is not a replication primary");
-  }
-  // A replica sees every record in the store, so REPLICA_SYNC has its own
-  // ACL rather than riding the retriever/renewer grants.
-  if (!config_.replica_acl.allows(peer.identity)) {
-    throw AuthorizationError(
-        fmt::format("'{}' is not in replica_acl", peer.identity.str()));
   }
   auto& journal = *config_.journal;
 
@@ -1176,24 +1128,6 @@ std::optional<Response> MyProxyServer::cluster_refusal_for(
   return refusal;
 }
 
-std::optional<Response> MyProxyServer::cluster_ownership_refusal(
-    const Request& request) {
-  switch (request.command) {
-    // The control plane and admin surfaces answer on any node: STATS and
-    // CLUSTER_MAP carry no username to route by, REPLICA_SYNC is a
-    // node-local stream, and the migration commands manage ownership
-    // itself.
-    case Command::kStats:
-    case Command::kReplicaSync:
-    case Command::kClusterMap:
-    case Command::kMigrate:
-    case Command::kMigrateInstall:
-      return std::nullopt;
-    default:
-      return cluster_refusal_for(request.username);
-  }
-}
-
 std::shared_lock<std::shared_mutex> MyProxyServer::cluster_write_permit(
     const std::string& username) {
   std::shared_lock<std::shared_mutex> permit(fence_mutex_);
@@ -1217,12 +1151,7 @@ std::shared_lock<std::shared_mutex> MyProxyServer::cluster_write_permit(
 }
 
 void MyProxyServer::handle_cluster_map(net::Channel& channel, const Request&,
-                                       const pki::VerifiedIdentity& peer) {
-  // Same audience as STATS: any identity the server would talk to at all.
-  if (!config_.authorized_retrievers.allows(peer.identity) &&
-      !config_.accepted_credentials.allows(peer.identity)) {
-    throw AuthorizationError("not authorized for CLUSTER_MAP");
-  }
+                                       const pki::VerifiedIdentity&) {
   std::string text;
   Response response;
   {
@@ -1265,10 +1194,6 @@ std::string entry_username(const replication::JournalEntry& entry) {
 void MyProxyServer::handle_migrate(net::Channel& channel,
                                    const Request& request,
                                    const pki::VerifiedIdentity& peer) {
-  if (!config_.cluster_admin_acl.allows(peer.identity)) {
-    throw AuthorizationError(fmt::format(
-        "'{}' is not in cluster_admin_acl", peer.identity.str()));
-  }
   if (config_.replication_role == replication::ReplicationRole::kReplica) {
     throw PolicyError("shard migration must run on the shard's primary");
   }
@@ -1457,10 +1382,6 @@ void MyProxyServer::handle_migrate(net::Channel& channel,
 void MyProxyServer::handle_migrate_install(net::Channel& channel,
                                            const Request& request,
                                            const pki::VerifiedIdentity& peer) {
-  if (!config_.cluster_admin_acl.allows(peer.identity)) {
-    throw AuthorizationError(fmt::format(
-        "'{}' is not in cluster_admin_acl", peer.identity.str()));
-  }
   if (config_.replication_role == replication::ReplicationRole::kReplica) {
     throw PolicyError("a replica cannot receive a shard");
   }
@@ -1645,11 +1566,7 @@ std::string MyProxyServer::render_metrics() const {
 }
 
 void MyProxyServer::handle_stats(net::Channel& channel, const Request&,
-                                 const pki::VerifiedIdentity& peer) {
-  if (!config_.authorized_retrievers.allows(peer.identity) &&
-      !config_.accepted_credentials.allows(peer.identity)) {
-    throw AuthorizationError("not authorized for STATS");
-  }
+                                 const pki::VerifiedIdentity&) {
   Response response;
   for (const auto& [key, value] : counter_snapshot()) {
     response.fields[key] = std::to_string(value);

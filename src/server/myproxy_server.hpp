@@ -6,6 +6,8 @@
 // `authorized_retrievers` (who may retrieve) — plus any per-credential
 // restrictions, before the protocol command is dispatched to the
 // Repository. An `authorized_renewers` ACL gates the §6.6 renewal path.
+// Which server-wide ACL each command needs, whether it writes, and whether
+// it is control plane is declared once, in the command table.
 //
 // Threading: connections are accepted, handshaken and read on the event
 // loops of a tls::Service and serviced on its bounded ThreadPool (the
@@ -336,9 +338,17 @@ class MyProxyServer {
   [[nodiscard]] std::optional<std::string> preauth_refusal(
       const tls::TlsChannel& channel);
 
-  /// Parse and dispatch one already-received request.
+  /// Parse one already-received request and run it through its command's
+  /// policy: shard ownership, write fence, replica redirect, admission,
+  /// server-wide ACL, handler.
   void serve_request(net::Channel& channel, const pki::VerifiedIdentity& peer,
                      std::string_view raw_request);
+
+  /// One row of the command table: each protocol::Command's handler,
+  /// server-wide ACL, write class and control-plane bit, declared once.
+  struct CommandPolicy;
+  [[nodiscard]] static const CommandPolicy& command_policy(
+      protocol::Command command);
 
   /// Fresh delegation key: pooled when possible, synchronous otherwise.
   [[nodiscard]] crypto::KeyPair next_delegation_key();
@@ -386,14 +396,9 @@ class MyProxyServer {
                               const protocol::Request& request,
                               const pki::VerifiedIdentity& peer);
 
-  /// Cluster-ownership verdict for `request`, or nullopt when the request
-  /// may proceed (clustering off, exempt command, or this node owns the
-  /// user's shard). The refusal carries WRONG_SHARD/SHARD/EPOCH/PRIMARY.
-  [[nodiscard]] std::optional<protocol::Response> cluster_ownership_refusal(
-      const protocol::Request& request);
-
-  /// Command-agnostic half of the ownership check: the WRONG_SHARD refusal
-  /// for `username`, or nullopt when this node owns (or clustering is off).
+  /// Cluster-ownership check: the WRONG_SHARD refusal (WRONG_SHARD, SHARD,
+  /// EPOCH, PRIMARY) for `username`, or nullopt when this node owns its
+  /// shard (or clustering is off).
   [[nodiscard]] std::optional<protocol::Response> cluster_refusal_for(
       const std::string& username);
 
@@ -407,11 +412,6 @@ class MyProxyServer {
   [[nodiscard]] std::shared_lock<std::shared_mutex> cluster_write_permit(
       const std::string& username);
 
-  /// True when `request` mutates the repository (a replica must redirect
-  /// it to the primary). OTP-authenticated reads count: verifying an OTP
-  /// word advances the chain, which is a store write.
-  [[nodiscard]] static bool is_write_command(const protocol::Request& request);
-
   /// Shared GET/RENEW tail: delegate `credential` to the peer over the
   /// channel under the stored record's restrictions.
   void delegate_to_peer(net::Channel& channel,
@@ -419,9 +419,19 @@ class MyProxyServer {
                         const repository::CredentialRecord& record,
                         Seconds requested_lifetime, bool want_limited);
 
-  [[nodiscard]] bool retriever_allowed(
-      const repository::CredentialRecord& record,
-      const pki::VerifiedIdentity& peer) const;
+  /// GET/RETRIEVE: authenticate the user (pass phrase or OTP word) and
+  /// open the checked `record`, under the write permit when the OTP chain
+  /// advances.
+  [[nodiscard]] gsi::Credential open_for_retrieval(
+      const protocol::Request& request,
+      const repository::CredentialRecord& record);
+
+  /// Shared PUT/STORE tail: check that the received `credential` verifies
+  /// and belongs to the connection's identity, then seal and store it.
+  void store_received(net::Channel& channel, const protocol::Request& request,
+                      const pki::VerifiedIdentity& peer,
+                      const gsi::Credential& credential,
+                      const repository::StoreOptions& options);
 
   gsi::Credential host_credential_;
   pki::TrustStore trust_store_;

@@ -95,10 +95,16 @@ TEST(ConstantTimeEquals, MatchesSemantics) {
 }
 
 struct GlobCase {
+  const char* name;
   const char* pattern;
   const char* text;
   bool match;
 };
+
+// gtest prints the parameter into each test's listed name; printing the
+// case name keeps those names stable (the default dumps the raw bytes,
+// which are pointers).
+void PrintTo(const GlobCase& c, std::ostream* os) { *os << c.name; }
 
 class GlobMatch : public ::testing::TestWithParam<GlobCase> {};
 
@@ -111,22 +117,26 @@ TEST_P(GlobMatch, MatchesExpected) {
 INSTANTIATE_TEST_SUITE_P(
     DnPatterns, GlobMatch,
     ::testing::Values(
-        GlobCase{"*", "", true},
-        GlobCase{"*", "/C=US/O=Grid/CN=alice", true},
-        GlobCase{"/C=US/O=Grid/*", "/C=US/O=Grid/CN=alice", true},
-        GlobCase{"/C=US/O=Grid/*", "/C=US/O=Other/CN=alice", false},
-        GlobCase{"/C=US/*/CN=alice", "/C=US/O=Grid/CN=alice", true},
-        GlobCase{"/C=US/*/CN=alice", "/C=US/O=Grid/CN=bob", false},
-        GlobCase{"*portal*", "/O=Grid/CN=portal-1", true},
-        GlobCase{"?", "x", true},
-        GlobCase{"?", "", false},
-        GlobCase{"a*b*c", "axxbyyc", true},
-        GlobCase{"a*b*c", "axxbyy", false},
-        GlobCase{"", "", true},
-        GlobCase{"", "x", false},
-        GlobCase{"**", "anything", true},
-        GlobCase{"/CN=exact", "/CN=exact", true},
-        GlobCase{"/CN=exact", "/CN=exact2", false}));
+        GlobCase{"StarMatchesEmpty", "*", "", true},
+        GlobCase{"StarMatchesDn", "*", "/C=US/O=Grid/CN=alice", true},
+        GlobCase{"TrailingStarPrefix", "/C=US/O=Grid/*",
+                 "/C=US/O=Grid/CN=alice", true},
+        GlobCase{"TrailingStarOtherPrefix", "/C=US/O=Grid/*",
+                 "/C=US/O=Other/CN=alice", false},
+        GlobCase{"InnerStar", "/C=US/*/CN=alice", "/C=US/O=Grid/CN=alice",
+                 true},
+        GlobCase{"InnerStarOtherSuffix", "/C=US/*/CN=alice",
+                 "/C=US/O=Grid/CN=bob", false},
+        GlobCase{"Substring", "*portal*", "/O=Grid/CN=portal-1", true},
+        GlobCase{"QuestionOneChar", "?", "x", true},
+        GlobCase{"QuestionNotEmpty", "?", "", false},
+        GlobCase{"ManyStars", "a*b*c", "axxbyyc", true},
+        GlobCase{"ManyStarsMissingTail", "a*b*c", "axxbyy", false},
+        GlobCase{"EmptyMatchesEmpty", "", "", true},
+        GlobCase{"EmptyRejectsText", "", "x", false},
+        GlobCase{"DoubleStar", "**", "anything", true},
+        GlobCase{"Exact", "/CN=exact", "/CN=exact", true},
+        GlobCase{"ExactRejectsLonger", "/CN=exact", "/CN=exact2", false}));
 
 }  // namespace
 }  // namespace myproxy::strings

@@ -101,6 +101,23 @@ TEST_F(HttpGatewayTest, GetInOneRoundTrip) {
   EXPECT_NO_THROW((void)make_trust_store().verify(delegated.full_chain()));
 }
 
+TEST_F(HttpGatewayTest, ZeroLifetimeMeansServerDefault) {
+  // As on the native port, lifetime=0 asks for the server's default
+  // lifetime rather than a zero-length proxy.
+  gsi::DelegationRequest delegation = gsi::begin_delegation();
+  const auto response = post(*portal_, gateway_->port(), "/get",
+                             {{"username", "alice"},
+                              {"passphrase", std::string(kPhrase)},
+                              {"lifetime", "0"},
+                              {"csr", delegation.csr_pem}});
+  ASSERT_EQ(response.status, 200) << response.body;
+  const gsi::Credential delegated =
+      gsi::complete_delegation(std::move(delegation.key), response.body);
+  EXPECT_GT(delegated.remaining_lifetime(), Seconds(0));
+  EXPECT_LE(delegated.remaining_lifetime(),
+            repo_->policy().default_delegation_lifetime);
+}
+
 TEST_F(HttpGatewayTest, WrongPassphraseIs401) {
   gsi::DelegationRequest delegation = gsi::begin_delegation();
   const auto response = post(*portal_, gateway_->port(), "/get",
